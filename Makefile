@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lpvet build test tier1 race race-parallel matrix smoke campaign scrub-smoke scrub-campaign cluster-smoke cluster-soak persistcheck-smoke persistcheck-soak model-smoke model-soak serve-smoke serve-soak replica-smoke replica-soak bench ci
+.PHONY: all vet lpvet build test tier1 race race-parallel matrix smoke campaign scrub-smoke scrub-campaign cluster-smoke cluster-soak persistcheck-smoke persistcheck-soak model-smoke model-soak serve-smoke serve-soak replica-smoke replica-soak bench bench-smoke ci
 
 all: ci
 
@@ -147,4 +147,12 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 	BENCH_JSON=BENCH_parallel.json $(GO) test -run '^TestWriteBenchParallelJSON$$' -v .
 
-ci: vet build race race-parallel matrix smoke scrub-smoke cluster-smoke persistcheck-smoke model-smoke serve-smoke replica-smoke
+# bench-smoke: the benchmark module's own checks. bench/ is a separate Go
+# module, so the root vet/test targets never reach it: every workload at
+# smoke size, metric names against BENCHMARK.json, and the pinned
+# simulated values for seed 1 (a host-speed change must leave them
+# byte-identical).
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+ci: vet build race race-parallel matrix smoke scrub-smoke cluster-smoke persistcheck-smoke model-smoke serve-smoke replica-smoke bench-smoke

@@ -211,7 +211,7 @@ func (d *Device) replaySpec(b *Block, start int64) {
 	s := b.spec
 	cfg := d.cfg
 	mem := d.mem
-	lineSize := mem.Config().LineSize
+	lineSize := mem.LineSize()
 	nw := b.NumWarps()
 
 	var cycles, totWI, totL2, totNVM, totStall int64

@@ -87,7 +87,7 @@ func checksumBitsF32(v float32) uint32 {
 func (t *Thread) chargeAccess(res memsim.AccessResult) {
 	t.instrs++
 	t.l2Bytes += sectorBytes
-	t.nvmBytes += int64(res.Bytes(t.b.dev.mem.Config().LineSize))
+	t.nvmBytes += int64(res.Bytes(t.b.dev.mem.LineSize()))
 	t.wdCheck()
 }
 
@@ -273,7 +273,7 @@ func (t *Thread) FlushLine(r memsim.Region, byteOff int) {
 		return
 	}
 	if t.b.dev.mem.FlushAddr(r.Base + uint64(byteOff)) {
-		t.nvmBytes += int64(t.b.dev.mem.Config().LineSize)
+		t.nvmBytes += int64(t.b.dev.mem.LineSize())
 	}
 }
 
@@ -281,9 +281,7 @@ func (t *Thread) FlushLine(r memsim.Region, byteOff int) {
 // until its outstanding flushes reach the NVM. The charge is one NVM
 // write latency of exposed stall (round-trip to the persistence domain).
 func (t *Thread) PersistBarrier() {
-	cfg := t.b.dev.cfg
-	memCfg := t.b.dev.mem.Config()
-	t.Stall(int64(memCfg.NVMWriteNS * cfg.ClockGHz))
+	t.Stall(int64(t.b.dev.mem.NVMWriteNS() * t.b.dev.cfg.ClockGHz))
 }
 
 // --- Atomics ---

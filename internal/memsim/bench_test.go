@@ -42,3 +42,21 @@ func BenchmarkFlushAll(b *testing.B) {
 		m.FlushAll()
 	}
 }
+
+// BenchmarkFlushAllSparse measures a serving epoch's drain: 64 dirty
+// lines, spread over distinct sets, in a DefaultConfig (4 MiB,
+// 32,768-line) cache. The dirty-set index makes it cost O(64 lines).
+func BenchmarkFlushAllSparse(b *testing.B) {
+	m := MustNew(DefaultConfig())
+	ls := m.LineSize()
+	r := m.Alloc("data", 64*37*ls)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < 64; j++ {
+			r.StoreU32(AccessData, j*37*ls/4, uint32(i))
+		}
+		b.StartTimer()
+		m.FlushAll()
+	}
+}

@@ -60,15 +60,8 @@ func (m *Memory) PartialCrash(rng *rand.Rand, p CrashProfile) CrashReport {
 		m.Crash()
 		return rep
 	}
-	var dirty []*line
-	for i := range m.sets {
-		for j := range m.sets[i].ways {
-			l := &m.sets[i].ways[j]
-			if l.valid && l.dirty {
-				dirty = append(dirty, l)
-			}
-		}
-	}
+	dirty := make([]*line, 0, m.dirtyLines)
+	m.forEachDirty(func(l *line) { dirty = append(dirty, l) })
 	rep.Dirty = len(dirty)
 	// Arbitrary write-back order: the cache controller owes no ordering
 	// between independent lines.
@@ -118,7 +111,7 @@ func (m *Memory) tornWriteBack(l *line, rng *rand.Rand) {
 		m.stats.NVMWritesByRegion = make(map[string]int64)
 	}
 	m.stats.NVMWritesByRegion[m.regionNameFor(l.tag)]++
-	l.dirty = false
+	m.markClean(l)
 }
 
 // InjectBitFlipsRange flips n uniformly random bits within the durable

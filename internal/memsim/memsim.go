@@ -184,6 +184,15 @@ type Memory struct {
 	// fences are the active write-fenced ranges (see fence.go); nil until
 	// a fence is erected.
 	fences []FencedRange
+
+	// The dirty-set index (see dirty.go): per-set dirty-way counts, a
+	// bitmap of the sets holding at least one dirty line, and the total.
+	setDirty   []int32
+	dirtySets  []uint64
+	dirtyLines int
+	// scratch is the staging buffer the Region host writers encode into
+	// (HostWrite copies out of its argument and never retains it).
+	scratch []byte
 }
 
 // New creates a Memory with the given configuration. A bad configuration
@@ -201,6 +210,8 @@ func New(cfg Config) (*Memory, error) {
 	for i := range m.sets {
 		m.sets[i].ways = make([]line, cfg.Ways)
 	}
+	m.setDirty = make([]int32, m.numSets)
+	m.dirtySets = make([]uint64, (m.numSets+63)/64)
 	if cfg.Fault.Enabled {
 		m.media = newMediaState(cfg.Fault, cfg.LineSize)
 	}
@@ -219,6 +230,13 @@ func MustNew(cfg Config) *Memory {
 
 // Config returns the memory configuration.
 func (m *Memory) Config() Config { return m.cfg }
+
+// LineSize returns the cache line size in bytes. Per-access callers use
+// it (and NVMWriteNS) instead of copying the whole Config.
+func (m *Memory) LineSize() int { return m.cfg.LineSize }
+
+// NVMWriteNS returns the configured NVM write latency in nanoseconds.
+func (m *Memory) NVMWriteNS() float64 { return m.cfg.NVMWriteNS }
 
 // Stats returns a snapshot of the traffic counters.
 func (m *Memory) Stats() Stats {
@@ -315,9 +333,10 @@ func (m *Memory) fillLine(lineAddr uint64) (*line, AccessResult) {
 	copy(victim.data, m.nvm[lineAddr:lineAddr+uint64(m.cfg.LineSize)])
 	m.stats.NVMLineReads++
 	res.LinesFetched++
+	// The victim is clean here: an invalid way is never dirty, and a dirty
+	// one was just written back.
 	victim.tag = lineAddr
 	victim.valid = true
-	victim.dirty = false
 	m.lruTick++
 	victim.lru = m.lruTick
 	return victim, res
@@ -350,7 +369,7 @@ func (m *Memory) writeBack(l *line) {
 		m.stats.NVMWritesByRegion = make(map[string]int64)
 	}
 	m.stats.NVMWritesByRegion[m.regionNameFor(l.tag)]++
-	l.dirty = false
+	m.markClean(l)
 }
 
 // access performs the cache maneuver for [addr, addr+size) and returns the
@@ -387,7 +406,7 @@ func (m *Memory) Store(kind AccessKind, addr uint64, buf []byte) AccessResult {
 	l, res := m.access(addr, len(buf))
 	off := addr - l.tag
 	copy(l.data[off:], buf)
-	l.dirty = true
+	m.markDirty(l)
 	return res
 }
 
@@ -395,10 +414,10 @@ func (m *Memory) Store(kind AccessKind, addr uint64, buf []byte) AccessResult {
 // lines that were never written back — is discarded. The durable contents
 // afterwards are exactly the NVM image.
 func (m *Memory) Crash() {
+	m.forEachDirty(m.markClean)
 	for i := range m.sets {
 		for j := range m.sets[i].ways {
 			m.sets[i].ways[j].valid = false
-			m.sets[i].ways[j].dirty = false
 		}
 	}
 	m.notify(PersistEvent{Kind: EvCrash})
@@ -422,34 +441,20 @@ func (m *Memory) FlushAddr(addr uint64) bool {
 
 // FlushAll writes every dirty line back to NVM and leaves the lines clean
 // (a whole-cache flush, i.e. the checkpoint boundary from §IV-A). It
-// returns the number of lines flushed.
+// returns the number of lines flushed. Its host cost follows the dirty
+// lines, not the cache size; the write-back order is set-major, way-minor.
 func (m *Memory) FlushAll() int {
 	n := 0
-	for i := range m.sets {
-		for j := range m.sets[i].ways {
-			l := &m.sets[i].ways[j]
-			if l.valid && l.dirty {
-				m.writeBack(l)
-				m.stats.FlushedLines++
-				n++
-			}
-		}
-	}
+	m.forEachDirty(func(l *line) {
+		m.writeBack(l)
+		m.stats.FlushedLines++
+		n++
+	})
 	return n
 }
 
 // DirtyLines returns the number of dirty (unpersisted) lines in the cache.
-func (m *Memory) DirtyLines() int {
-	n := 0
-	for i := range m.sets {
-		for j := range m.sets[i].ways {
-			if m.sets[i].ways[j].valid && m.sets[i].ways[j].dirty {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (m *Memory) DirtyLines() int { return m.dirtyLines }
 
 // PeekCoherent reads the current logical value of [addr, addr+size) —
 // cache contents if present, NVM otherwise — without touching statistics
@@ -563,8 +568,8 @@ func (m *Memory) HostWrite(addr uint64, buf []byte) {
 		for i := range set.ways {
 			l := &set.ways[i]
 			if l.valid && l.tag == la {
+				m.markClean(l)
 				l.valid = false
-				l.dirty = false
 			}
 		}
 	}

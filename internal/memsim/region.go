@@ -3,6 +3,7 @@ package memsim
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Region is a named, line-aligned allocation in simulated global memory.
@@ -86,20 +87,25 @@ func (r Region) StoreI32(kind AccessKind, idx int, v int32) AccessResult {
 }
 
 // --- Host-side coherent views (no stats, no cache mutation) ---
+//
+// The single-element views are allocation-free: elements are naturally
+// aligned, and an in-region address always lies inside the durable array
+// (Alloc grows it to cover every region), so the word peeks never need
+// PeekCoherent's array growth.
 
 // PeekU32 returns the current logical uint32 at element idx.
 func (r Region) PeekU32(idx int) uint32 {
-	return binary.LittleEndian.Uint32(r.mem.PeekCoherent(r.addr(idx, 4), 4))
+	return r.mem.PeekCoherentU32(r.addr(idx, 4))
 }
 
 // PeekU64 returns the current logical uint64 at element idx.
 func (r Region) PeekU64(idx int) uint64 {
-	return binary.LittleEndian.Uint64(r.mem.PeekCoherent(r.addr(idx, 8), 8))
+	return r.mem.PeekCoherentU64(r.addr(idx, 8))
 }
 
 // PeekF32 returns the current logical float32 at element idx.
 func (r Region) PeekF32(idx int) float32 {
-	return f32FromBytes(r.mem.PeekCoherent(r.addr(idx, 4), 4))
+	return math.Float32frombits(r.PeekU32(idx))
 }
 
 // PeekI32 returns the current logical int32 at element idx.
@@ -169,13 +175,15 @@ func (r Region) HostWriteI32s(vals []int32) {
 	r.mem.HostWrite(r.Base, buf)
 }
 
-// HostWriteU64s writes vals to the region starting at element 0.
+// HostWriteU64s writes vals to the region starting at element 0. It
+// encodes into the Memory's staging buffer (see hostScratch), so a
+// per-launch input write allocates nothing.
 func (r Region) HostWriteU64s(vals []uint64) {
-	buf := make([]byte, len(vals)*8)
+	r.boundsCheck(len(vals) * 8)
+	buf := r.mem.hostScratch(len(vals) * 8)
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(buf[i*8:], v)
 	}
-	r.boundsCheck(len(buf))
 	r.mem.HostWrite(r.Base, buf)
 }
 
@@ -188,9 +196,12 @@ func (r Region) HostPutU64(idx int, v uint64) {
 	r.mem.HostWrite(r.addr(idx, 8), buf[:])
 }
 
-// HostZero zeroes the whole region durably.
+// HostZero zeroes the whole region durably, staging the zeros in the
+// Memory's reused buffer (see HostWriteU64s).
 func (r Region) HostZero() {
-	r.mem.HostWrite(r.Base, make([]byte, r.Size))
+	buf := r.mem.hostScratch(r.Size)
+	clear(buf)
+	r.mem.HostWrite(r.Base, buf)
 }
 
 // HostFillU64 durably fills the region with a repeated uint64 pattern
@@ -205,6 +216,25 @@ func (r Region) HostFillU64(v uint64) {
 		binary.LittleEndian.PutUint64(buf[off:], v)
 	}
 	r.mem.HostWrite(r.Base, buf)
+}
+
+// maxHostScratch bounds the staging buffer a Memory keeps. Per-launch
+// staging (serving batches, epoch metadata truncation) fits well below
+// it; a one-time set-up write of a large region gets a buffer that dies
+// with the call instead of pinning its size for the Memory's lifetime.
+const maxHostScratch = 64 << 10
+
+// hostScratch returns an n-byte staging buffer for a host write, reused
+// across calls up to maxHostScratch bytes. Its contents are only valid
+// until the next call.
+func (m *Memory) hostScratch(n int) []byte {
+	if n > maxHostScratch {
+		return make([]byte, n)
+	}
+	if cap(m.scratch) < n {
+		m.scratch = make([]byte, n)
+	}
+	return m.scratch[:n]
 }
 
 func (r Region) boundsCheck(n int) {

@@ -48,16 +48,11 @@ func (m *Memory) BeginSnapshot() *Snapshot {
 	// Dirty lines are the only state whose coherent value differs from the
 	// durable array (a clean cached line was filled from NVM and not
 	// modified since), so they are the only eager copies needed.
-	for i := range m.sets {
-		for j := range m.sets[i].ways {
-			l := &m.sets[i].ways[j]
-			if l.valid && l.dirty {
-				cp := make([]byte, m.cfg.LineSize)
-				copy(cp, l.data)
-				s.stripeOf(l.tag).cow[l.tag] = cp
-			}
-		}
-	}
+	m.forEachDirty(func(l *line) {
+		cp := make([]byte, m.cfg.LineSize)
+		copy(cp, l.data)
+		s.stripeOf(l.tag).cow[l.tag] = cp
+	})
 	m.snap = s
 	return s
 }

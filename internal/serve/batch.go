@@ -28,6 +28,10 @@ type pendingReq struct {
 type Batcher struct {
 	max   int
 	queue []pendingReq
+	// taken and inBatch are Take's output slice and key set, reused
+	// across calls so steady-state batching allocates nothing.
+	taken   []pendingReq
+	inBatch map[uint64]struct{}
 }
 
 // NewBatcher creates a batcher that emits at most max requests per Take.
@@ -35,7 +39,11 @@ func NewBatcher(max int) *Batcher {
 	if max <= 0 {
 		panic("serve: batcher needs a positive batch cap")
 	}
-	return &Batcher{max: max}
+	return &Batcher{
+		max:     max,
+		taken:   make([]pendingReq, 0, max),
+		inBatch: make(map[uint64]struct{}, max),
+	}
 }
 
 // Add enqueues an admitted request.
@@ -53,20 +61,26 @@ func (b *Batcher) OldestAdmit() int64 { return b.queue[0].admitted }
 // Take removes and returns the next batch: up to max requests in FIFO
 // order, skipping (but keeping queued) any request whose key is already
 // in this batch. Never returns an empty batch while Len() > 0.
+//
+// The returned slice is owned by the batcher and valid only until the
+// next Take, which overwrites it; callers finish with one batch before
+// taking the next.
 func (b *Batcher) Take() []pendingReq {
 	if len(b.queue) == 0 {
 		return nil
 	}
-	taken := make([]pendingReq, 0, b.max)
-	inBatch := make(map[uint64]bool, b.max)
+	clear(b.inBatch)
+	taken := b.taken[:0]
 	rest := b.queue[:0]
 	for i, p := range b.queue {
-		if len(taken) >= b.max || inBatch[p.req.Key] {
-			rest = append(rest, b.queue[i])
-			continue
+		if len(taken) < b.max {
+			if _, dup := b.inBatch[p.req.Key]; !dup {
+				b.inBatch[p.req.Key] = struct{}{}
+				taken = append(taken, p)
+				continue
+			}
 		}
-		inBatch[p.req.Key] = true
-		taken = append(taken, p)
+		rest = append(rest, b.queue[i])
 	}
 	b.queue = rest
 	return taken

@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func req(id int, key uint64) Request {
 	return Request{ID: id, Op: OpInsert, Key: key, Val: uint64(id) + 1}
@@ -98,4 +102,73 @@ func TestBatcherRejectsNonPositiveCap(t *testing.T) {
 		}
 	}()
 	NewBatcher(0)
+}
+
+// referenceTake is the batching rule written out plainly: FIFO, at most
+// max requests, one per key, everything skipped stays queued in order.
+func referenceTake(queue []pendingReq, max int) (taken, rest []pendingReq) {
+	seen := map[uint64]bool{}
+	for _, p := range queue {
+		if len(taken) < max && !seen[p.req.Key] {
+			seen[p.req.Key] = true
+			taken = append(taken, p)
+		} else {
+			rest = append(rest, p)
+		}
+	}
+	return taken, rest
+}
+
+// TestBatcherMatchesReferenceAndKeepsBatchUntilNextTake: with Take's
+// output slice and key set reused, random add/take interleavings still
+// produce exactly the reference FIFO/conflict-deferral batches, and a
+// returned batch stays intact across later Adds until the next Take.
+func TestBatcherMatchesReferenceAndKeepsBatchUntilNextTake(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := NewBatcher(8)
+	var model []pendingReq
+	id := 0
+	for round := 0; round < 400; round++ {
+		for n := rng.Intn(12); n > 0; n-- {
+			r := req(id, uint64(rng.Intn(6)))
+			b.Add(r, int64(id))
+			model = append(model, pendingReq{req: r, admitted: int64(id)})
+			id++
+		}
+		if b.Len() == 0 {
+			continue
+		}
+		var want []pendingReq
+		want, model = referenceTake(model, 8)
+		got := b.Take()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: Take = %+v, reference %+v", round, got, want)
+		}
+		for n := rng.Intn(12); n > 0; n-- {
+			r := req(id, uint64(rng.Intn(6)))
+			b.Add(r, int64(id))
+			model = append(model, pendingReq{req: r, admitted: int64(id)})
+			id++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: batch changed by later Adds: %+v, want %+v", round, got, want)
+		}
+	}
+}
+
+// TestBatcherTakeZeroAlloc: steady-state batching allocates nothing.
+func TestBatcherTakeZeroAlloc(t *testing.T) {
+	b := NewBatcher(256)
+	fill := func() {
+		for i := 0; i < 300; i++ {
+			b.Add(req(i, uint64(i%200)), int64(i))
+		}
+		for b.Len() > 0 {
+			b.Take()
+		}
+	}
+	fill() // grow the queue, output slice and key set once
+	if n := testing.AllocsPerRun(20, fill); n != 0 {
+		t.Errorf("steady-state Add/Take: %v allocs per run, want 0", n)
+	}
 }
