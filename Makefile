@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lpvet build test tier1 race race-parallel matrix smoke campaign scrub-smoke scrub-campaign cluster-smoke cluster-soak persistcheck-smoke persistcheck-soak model-smoke model-soak serve-smoke serve-soak replica-smoke replica-soak bench bench-smoke ci
+.PHONY: all vet lpvet build test tier1 race race-parallel matrix smoke campaign scrub-smoke scrub-campaign cluster-smoke cluster-soak persistcheck-smoke persistcheck-soak model-smoke model-soak serve-smoke serve-soak replica-smoke replica-soak bench bench-smoke bench-micro bench-micro-smoke ci
 
 all: ci
 
@@ -155,4 +155,18 @@ bench:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-ci: vet build race race-parallel matrix smoke scrub-smoke cluster-smoke persistcheck-smoke model-smoke serve-smoke replica-smoke bench-smoke
+# bench-micro: the per-layer microbenchmarks of the functional pass's hot
+# path, with allocation counts: a memsim load hit (one word, a walk over
+# one line, two lines of one set), the sparse epoch drain, and one gpusim
+# ForAll phase (empty body and one load per thread).
+MICRO_BENCH = $(GO) test -run '^$$' -bench '^Benchmark(CachedLoad|LoadHitSameLine|LoadHitSetConflict|FlushAllSparse|ForAll)$$' -benchmem
+
+bench-micro:
+	$(MICRO_BENCH) ./internal/memsim/ ./internal/gpusim/
+
+# bench-micro-smoke: every bench-micro benchmark once, so none of them can
+# stop compiling or running unnoticed. It is not a timing gate.
+bench-micro-smoke:
+	$(MICRO_BENCH) -benchtime=1x ./internal/memsim/ ./internal/gpusim/
+
+ci: vet build race race-parallel matrix smoke scrub-smoke cluster-smoke persistcheck-smoke model-smoke serve-smoke replica-smoke bench-smoke bench-micro-smoke

@@ -32,6 +32,33 @@ func BenchmarkLaunchMemory(b *testing.B) {
 	}
 }
 
+// BenchmarkForAll measures one ForAll phase of a 64-thread block: the
+// per-thread dispatch alone (empty) and with one cached load per thread.
+func BenchmarkForAll(b *testing.B) {
+	d := testDevice()
+	data := d.Alloc("data", 64*4)
+	bodies := []struct {
+		name string
+		fn   func(*Thread)
+	}{
+		{"empty", func(*Thread) {}},
+		{"load", func(t *Thread) { t.LoadU32(data, t.Linear) }},
+	}
+	for _, c := range bodies {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			d.Launch("forall", D1(1), D1(64), func(blk *Block) {
+				blk.ForAll(c.fn)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					blk.ForAll(c.fn)
+				}
+				b.StopTimer()
+			})
+		})
+	}
+}
+
 // BenchmarkWarpReduce measures the warp shuffle reduction primitive.
 func BenchmarkWarpReduce(b *testing.B) {
 	d := testDevice()

@@ -168,38 +168,46 @@ func (b *Block) barrierCost() int64 {
 // phase: compute cycles (divergence-aware: a warp costs its max lane),
 // memory cycles (roofline against per-SM L2 and NVM bandwidth shares), and
 // any serialization stalls the threads incurred, plus a barrier.
+//
+// Threads run in linear order, so a thread's index, warp and lane come
+// from counters stepped once per thread, and warps end one after another:
+// each warp's max lane is added as the warp's last lane retires.
 func (b *Block) ForAll(fn func(t *Thread)) {
 	ws := b.dev.cfg.WarpSize
-	nt := b.BlockDim.Size()
-	nw := b.NumWarps()
-	warpMax := make([]int64, nw)
-	var l2, nvm, aStall int64
+	dim := b.BlockDim
+	nt := dim.Size()
+	var idx Dim3
+	var warp, lane int
+	var warpInstrs, warpMax, l2, nvm, aStall int64
 
+	t := &b.thread
+	t.b = b
 	for lin := 0; lin < nt; lin++ {
-		t := &b.thread
-		*t = Thread{
-			b:      b,
-			Idx:    b.BlockDim.Unlinear(lin),
-			Linear: lin,
-			WarpID: lin / ws,
-			Lane:   lin % ws,
-		}
+		t.Idx, t.Linear, t.WarpID, t.Lane = idx, lin, warp, lane
+		t.threadState = threadState{}
 		fn(t)
 		if t.lockHeld != nil {
 			panic("gpusim: thread exited phase while holding lock " + t.lockHeld.name)
 		}
-		if t.instrs > warpMax[t.WarpID] {
-			warpMax[t.WarpID] = t.instrs
-		}
+		warpMax = max(warpMax, t.instrs)
 		l2 += t.l2Bytes
 		nvm += t.nvmBytes
 		aStall += t.atomicStall
-	}
 
-	var warpInstrs int64
-	for _, wi := range warpMax {
-		warpInstrs += wi
+		if lane++; lane == ws {
+			warpInstrs += warpMax
+			warp, lane, warpMax = warp+1, 0, 0
+		}
+		if idx.X++; idx.X == dim.X {
+			idx.X = 0
+			if idx.Y++; idx.Y == dim.Y {
+				idx.Y = 0
+				idx.Z++
+			}
+		}
 	}
+	warpInstrs += warpMax // a partial last warp; 0 after a full one
+
 	b.totAtomicStall += aStall
 	b.endPhase(warpInstrs, l2, nvm, aStall)
 }

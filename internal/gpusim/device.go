@@ -173,8 +173,8 @@ type LaunchResult struct {
 	Aborted bool
 }
 
-// MS returns the launch duration in milliseconds (requires the config used
-// at launch; use Device.Config().CyclesToMS for exactness).
+// String returns a one-line summary: the kernel name, blocks, cycles,
+// warp instructions, L2 and NVM bytes, and atomic and lock stall cycles.
 func (r LaunchResult) String() string {
 	return fmt.Sprintf("%s: %d blocks, %d cycles, %d warp-instrs, %dB L2, %dB NVM, stalls atomic=%d lock=%d",
 		r.Name, r.Blocks, r.Cycles, r.WarpInstrs, r.L2Bytes, r.NVMBytes, r.AtomicStallCycles, r.LockStallCycles)

@@ -1,6 +1,9 @@
 package gpusim
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // opEvent is a serialization-sensitive operation recorded during the
 // functional pass: an atomic (which occupies its memory sector and the
@@ -59,8 +62,9 @@ func (d *Device) schedule(blocks []blockRec, slots int) (cycles, atomicStall, lo
 		nEvents += len(blocks[i].events)
 	}
 
+	free := make([]int64, slots)
 	reschedule := func() {
-		free := make([]int64, slots)
+		clear(free)
 		for i := range blocks {
 			slot := 0
 			for s := 1; s < len(free); s++ {
@@ -95,11 +99,13 @@ func (d *Device) schedule(blocks []blockRec, slots int) (cycles, atomicStall, lo
 				})
 			}
 		}
-		sort.Slice(events, func(a, b int) bool {
-			if events[a].time != events[b].time {
-				return events[a].time < events[b].time
+		// order is unique, so this is a total order: any sort algorithm
+		// yields the same sequence.
+		slices.SortFunc(events, func(a, b flatEvent) int {
+			if c := cmp.Compare(a.time, b.time); c != 0 {
+				return c
 			}
-			return events[a].order < events[b].order
+			return cmp.Compare(a.order, b.order)
 		})
 
 		clear(sectorFree)

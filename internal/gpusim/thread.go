@@ -18,6 +18,13 @@ type Thread struct {
 	WarpID int
 	Lane   int
 
+	threadState
+}
+
+// threadState is what a thread accumulates while it runs. ForAll zeroes
+// it with one assignment before each thread, so per-thread state belongs
+// here: a field added to Thread itself would carry over between threads.
+type threadState struct {
 	instrs      int64
 	l2Bytes     int64
 	nvmBytes    int64

@@ -13,6 +13,33 @@ func BenchmarkCachedLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadHitSameLine measures hits that walk the words of one line.
+func BenchmarkLoadHitSameLine(b *testing.B) {
+	m := MustNew(DefaultConfig())
+	r := m.Alloc("data", 4096)
+	words := m.LineSize() / 4
+	r.StoreU32(AccessData, 0, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.LoadU32(AccessData, i%words)
+	}
+}
+
+// BenchmarkLoadHitSetConflict measures hits that alternate between two
+// lines of one set, so the set scan finds a different way each time.
+func BenchmarkLoadHitSetConflict(b *testing.B) {
+	cfg := DefaultConfig()
+	m := MustNew(cfg)
+	stride := cfg.CacheBytes / cfg.Ways // bytes between lines of one set
+	r := m.Alloc("data", stride+cfg.LineSize)
+	r.StoreU32(AccessData, 0, 1)
+	r.StoreU32(AccessData, stride/4, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.LoadU32(AccessData, (i&1)*stride/4)
+	}
+}
+
 // BenchmarkStreamingStores measures the miss/evict path: stores striding
 // through a footprint larger than the cache.
 func BenchmarkStreamingStores(b *testing.B) {

@@ -50,10 +50,38 @@ func checkDirtyIndex(t *testing.T, m *Memory, where string) {
 	}
 }
 
+// checkProbe asserts the probe invariants: no set holds two valid ways
+// with one tag, and findLine agrees with a brute-force scan of the whole
+// cache for addr's line.
+func checkProbe(t *testing.T, m *Memory, addr uint64, where string) {
+	t.Helper()
+	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
+	var want *line
+	for s := range m.sets {
+		seen := map[uint64]bool{}
+		for j := range m.sets[s].ways {
+			l := &m.sets[s].ways[j]
+			if !l.valid {
+				continue
+			}
+			if seen[l.tag] {
+				t.Fatalf("%s: set %d holds two valid ways tagged %#x", where, s, l.tag)
+			}
+			seen[l.tag] = true
+			if l.tag == lineAddr {
+				want = l
+			}
+		}
+	}
+	if got := m.findLine(lineAddr); got != want {
+		t.Fatalf("%s: findLine(%#x) = %p, brute-force scan finds %p", where, lineAddr, got, want)
+	}
+}
+
 // TestDirtyIndexProperty drives random op sequences through caches of
 // several shapes, with the media fault process off and on, and checks the
-// dirty-set index against a brute-force scan after every op. Every
-// FlushAll must emit its EvWriteBack events in exactly the scan's
+// dirty-set index and findLine against a brute-force scan after every op.
+// Every FlushAll must emit its EvWriteBack events in exactly the scan's
 // set-major, way-minor order.
 func TestDirtyIndexProperty(t *testing.T) {
 	threeSets := tinyConfig()
@@ -97,25 +125,32 @@ func runDirtyIndexOps(t *testing.T, cfg Config, seed int64, ops int) {
 	})
 	restore := m.SnapshotNVM()
 	words := r.Size / 4
+	addr := r.Base // the op's address; ops without one keep the last
 	for step := 0; step < ops; step++ {
 		var op string
 		switch k := rng.Intn(100); {
 		case k < 40:
 			op = "Store"
-			r.StoreU32(AccessData, rng.Intn(words), rng.Uint32())
+			i := rng.Intn(words)
+			addr = r.Base + uint64(4*i)
+			r.StoreU32(AccessData, i, rng.Uint32())
 		case k < 55:
 			op = "Load"
-			r.LoadU32(AccessData, rng.Intn(words))
+			i := rng.Intn(words)
+			addr = r.Base + uint64(4*i)
+			r.LoadU32(AccessData, i)
 		case k < 65:
 			op = "FlushAddr"
-			m.FlushAddr(r.Base + uint64(rng.Intn(r.Size)))
+			addr = r.Base + uint64(rng.Intn(r.Size))
+			m.FlushAddr(addr)
 		case k < 75:
 			op = "HostWrite"
 			n := 1 + rng.Intn(3*ls)
 			off := rng.Intn(r.Size - n + 1)
 			buf := make([]byte, n)
 			rng.Read(buf)
-			m.HostWrite(r.Base+uint64(off), buf)
+			addr = r.Base + uint64(off)
+			m.HostWrite(addr, buf)
 		case k < 85:
 			op = "FlushAll"
 			want := bruteDirty(m)
@@ -138,7 +173,9 @@ func runDirtyIndexOps(t *testing.T, cfg Config, seed int64, ops int) {
 			op = "SnapshotNVM"
 			restore = m.SnapshotNVM()
 		}
-		checkDirtyIndex(t, m, fmt.Sprintf("step %d (%s)", step, op))
+		where := fmt.Sprintf("step %d (%s)", step, op)
+		checkDirtyIndex(t, m, where)
+		checkProbe(t, m, addr, where)
 	}
 }
 

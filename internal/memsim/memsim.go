@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -173,6 +174,12 @@ type Memory struct {
 	stats   Stats
 	snap    *Snapshot // active copy-on-write snapshot, nil when inactive
 
+	// lineShift is log2(LineSize). setMask is numSets-1 when setPow2 (the
+	// set count is a power of two); otherwise setIndex falls back to %.
+	lineShift uint
+	setMask   uint64
+	setPow2   bool
+
 	// observer receives every durable-image mutation (see observe.go).
 	observer func(PersistEvent)
 	// plantDropNth/plantWBCount implement PlantDropWriteBack.
@@ -202,9 +209,13 @@ func New(cfg Config) (*Memory, error) {
 		return nil, err
 	}
 	m := &Memory{
-		cfg:     cfg,
-		numSets: cfg.CacheBytes / cfg.LineSize / cfg.Ways,
-		next:    uint64(cfg.LineSize), // keep address 0 unused
+		cfg:       cfg,
+		numSets:   cfg.CacheBytes / cfg.LineSize / cfg.Ways,
+		next:      uint64(cfg.LineSize), // keep address 0 unused
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+	}
+	if m.numSets&(m.numSets-1) == 0 {
+		m.setMask, m.setPow2 = uint64(m.numSets-1), true
 	}
 	m.sets = make([]cacheSet, m.numSets)
 	for i := range m.sets {
@@ -288,17 +299,19 @@ func (m *Memory) regionNameFor(addr uint64) string {
 }
 
 func (m *Memory) setIndex(lineAddr uint64) int {
-	return int((lineAddr / uint64(m.cfg.LineSize)) % uint64(m.numSets))
+	n := lineAddr >> m.lineShift
+	if m.setPow2 {
+		return int(n & m.setMask)
+	}
+	return int(n % uint64(m.numSets))
 }
 
-// lookupLine returns the cached line for lineAddr, or nil.
-func (m *Memory) lookupLine(lineAddr uint64) *line {
-	set := &m.sets[m.setIndex(lineAddr)]
-	for i := range set.ways {
-		l := &set.ways[i]
-		if l.valid && l.tag == lineAddr {
-			m.lruTick++
-			l.lru = m.lruTick
+// findLine returns the valid cached line for lineAddr, or nil. It touches
+// neither the LRU state nor the statistics.
+func (m *Memory) findLine(lineAddr uint64) *line {
+	ways := m.sets[m.setIndex(lineAddr)].ways
+	for i := range ways {
+		if l := &ways[i]; l.tag == lineAddr && l.valid {
 			return l
 		}
 	}
@@ -373,19 +386,22 @@ func (m *Memory) writeBack(l *line) {
 }
 
 // access performs the cache maneuver for [addr, addr+size) and returns the
-// line holding addr. size must not cross a line boundary.
+// line holding addr. size must not cross a line boundary. A hit marks the
+// line most recently used.
 func (m *Memory) access(addr uint64, size int) (*line, AccessResult) {
 	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
 	if (addr+uint64(size)-1)&^uint64(m.cfg.LineSize-1) != lineAddr {
 		panic(fmt.Sprintf("memsim: access at %#x size %d crosses a line boundary", addr, size))
 	}
-	if l := m.lookupLine(lineAddr); l != nil {
-		m.stats.Hits++
-		return l, AccessResult{Hit: true}
+	l := m.findLine(lineAddr)
+	if l == nil {
+		m.stats.Misses++
+		return m.fillLine(lineAddr)
 	}
-	m.stats.Misses++
-	l, res := m.fillLine(lineAddr)
-	return l, res
+	m.lruTick++
+	l.lru = m.lruTick
+	m.stats.Hits++
+	return l, AccessResult{Hit: true}
 }
 
 // Load reads size bytes at addr through the cache as a device access.
@@ -427,16 +443,12 @@ func (m *Memory) Crash() {
 // and dirty (the clwb/clflushopt primitive Eager Persistency relies on),
 // returning whether a write-back happened. The line stays cached.
 func (m *Memory) FlushAddr(addr uint64) bool {
-	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
-	set := &m.sets[m.setIndex(lineAddr)]
-	for i := range set.ways {
-		l := &set.ways[i]
-		if l.valid && l.tag == lineAddr && l.dirty {
-			m.writeBack(l)
-			return true
-		}
+	l := m.findLine(addr &^ uint64(m.cfg.LineSize-1))
+	if l == nil || !l.dirty {
+		return false
 	}
-	return false
+	m.writeBack(l)
+	return true
 }
 
 // FlushAll writes every dirty line back to NVM and leaves the lines clean
@@ -470,17 +482,9 @@ func (m *Memory) PeekCoherent(addr uint64, size int) []byte {
 		if n > size-done {
 			n = size - done
 		}
-		found := false
-		set := &m.sets[m.setIndex(lineAddr)]
-		for i := range set.ways {
-			l := &set.ways[i]
-			if l.valid && l.tag == lineAddr {
-				copy(out[done:done+n], l.data[off:])
-				found = true
-				break
-			}
-		}
-		if !found {
+		if l := m.findLine(lineAddr); l != nil {
+			copy(out[done:done+n], l.data[off:])
+		} else {
 			m.ensureNVM(lineAddr)
 			copy(out[done:done+n], m.nvm[a:])
 		}
@@ -495,12 +499,8 @@ func (m *Memory) PeekCoherent(addr uint64, size int) []byte {
 // a per-word PeekCoherent allocation would dominate the commit path.
 func (m *Memory) PeekCoherentU32(addr uint64) uint32 {
 	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
-	set := &m.sets[m.setIndex(lineAddr)]
-	for i := range set.ways {
-		l := &set.ways[i]
-		if l.valid && l.tag == lineAddr {
-			return binary.LittleEndian.Uint32(l.data[addr-lineAddr:])
-		}
+	if l := m.findLine(lineAddr); l != nil {
+		return binary.LittleEndian.Uint32(l.data[addr-lineAddr:])
 	}
 	if int(addr)+4 > len(m.nvm) {
 		return 0
@@ -511,12 +511,8 @@ func (m *Memory) PeekCoherentU32(addr uint64) uint32 {
 // PeekCoherentU64 is PeekCoherentU32 for an 8-aligned 64-bit word.
 func (m *Memory) PeekCoherentU64(addr uint64) uint64 {
 	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
-	set := &m.sets[m.setIndex(lineAddr)]
-	for i := range set.ways {
-		l := &set.ways[i]
-		if l.valid && l.tag == lineAddr {
-			return binary.LittleEndian.Uint64(l.data[addr-lineAddr:])
-		}
+	if l := m.findLine(lineAddr); l != nil {
+		return binary.LittleEndian.Uint64(l.data[addr-lineAddr:])
 	}
 	if int(addr)+8 > len(m.nvm) {
 		return 0
@@ -564,13 +560,9 @@ func (m *Memory) HostWrite(addr uint64, buf []byte) {
 	first := addr &^ (ls - 1)
 	last := (addr + uint64(len(buf)) - 1) &^ (ls - 1)
 	for la := first; la <= last; la += ls {
-		set := &m.sets[m.setIndex(la)]
-		for i := range set.ways {
-			l := &set.ways[i]
-			if l.valid && l.tag == la {
-				m.markClean(l)
-				l.valid = false
-			}
+		if l := m.findLine(la); l != nil {
+			m.markClean(l)
+			l.valid = false
 		}
 	}
 }
