@@ -157,16 +157,19 @@ bench-smoke:
 
 # bench-micro: the per-layer microbenchmarks of the functional pass's hot
 # path, with allocation counts: a memsim load hit (one word, a walk over
-# one line, two lines of one set), the sparse epoch drain, and one gpusim
-# ForAll phase (empty body and one load per thread).
-MICRO_BENCH = $(GO) test -run '^$$' -bench '^Benchmark(CachedLoad|LoadHitSameLine|LoadHitSetConflict|FlushAllSparse|ForAll)$$' -benchmem
+# one line, two lines of one set), the sparse epoch drain, one gpusim
+# ForAll phase (empty body and one load per thread), and one warm launch
+# of a single 128-thread LP block (core LaunchSmall, the shape of a
+# lightly loaded serving batch).
+MICRO_BENCH = $(GO) test -run '^$$' -bench '^Benchmark(CachedLoad|LoadHitSameLine|LoadHitSetConflict|FlushAllSparse|ForAll|LaunchSmall)$$' -benchmem
+MICRO_PKGS = ./internal/memsim/ ./internal/gpusim/ ./internal/core/
 
 bench-micro:
-	$(MICRO_BENCH) ./internal/memsim/ ./internal/gpusim/
+	$(MICRO_BENCH) $(MICRO_PKGS)
 
 # bench-micro-smoke: every bench-micro benchmark once, so none of them can
 # stop compiling or running unnoticed. It is not a timing gate.
 bench-micro-smoke:
-	$(MICRO_BENCH) -benchtime=1x ./internal/memsim/ ./internal/gpusim/
+	$(MICRO_BENCH) -benchtime=1x $(MICRO_PKGS)
 
 ci: vet build race race-parallel matrix smoke scrub-smoke cluster-smoke persistcheck-smoke model-smoke serve-smoke replica-smoke bench-smoke bench-micro-smoke

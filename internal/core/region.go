@@ -23,9 +23,24 @@ type Region struct {
 	par []uint64
 }
 
+// Shared-memory names of a region's per-thread checksum accumulators.
+// They are reserved for the LP runtime: kernels must not name their own
+// shared arrays this way.
+const (
+	sharedMod = "core.lp.mod"
+	sharedPar = "core.lp.par"
+)
+
 // Begin opens the LP region for block b. Safe to call on a nil runtime
 // (returns a nil, inert region) — that is how baseline runs reuse LP
 // kernels.
+//
+// The per-thread accumulators are the block's shared arrays sharedMod and
+// sharedPar, zeroed at the block's first request. Shared arrays belong to
+// one block, so blocks that fold checksums concurrently (Config.Workers >
+// 1) never share accumulators. For the same reason a block holds at most
+// one open LP region: a second Begin in the same block would fold into
+// the first region's accumulators.
 func (lp *LP) Begin(b *gpusim.Block) *Region {
 	if lp == nil {
 		return nil
@@ -33,10 +48,8 @@ func (lp *LP) Begin(b *gpusim.Block) *Region {
 	if b.GridDim != lp.grid || b.BlockDim != lp.blk {
 		panic("core: block geometry does not match the LP runtime's geometry")
 	}
-	// Accumulators are allocated per region, not shared on the runtime:
-	// with Config.Workers > 1 several blocks fold checksums concurrently.
 	nt := lp.blk.Size()
-	return &Region{lp: lp, b: b, key: uint64(b.LinearIdx / lp.fusion), mod: make([]uint64, nt), par: make([]uint64, nt)}
+	return &Region{lp: lp, b: b, key: uint64(b.LinearIdx / lp.fusion), mod: b.SharedU64(sharedMod, nt), par: b.SharedU64(sharedPar, nt)}
 }
 
 // Update folds one stored 32-bit value into the calling thread's

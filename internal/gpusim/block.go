@@ -18,7 +18,12 @@ type Block struct {
 	startTime int64 // pass-1 (zero-queueing) start time of the block
 	cycles    int64 // cycles accumulated so far within the block
 
-	shared map[string]any
+	// shared holds the block's shared-memory arrays by name. gen is the
+	// block generation: the serial engine reuses one Block and bumps gen
+	// for every block it dispatches, and an array is zeroed on its first
+	// use in a new generation (see sharedArray).
+	shared map[string]*sharedEntry
+	gen    uint64
 	events []opEvent // serialization events for the post-launch sweep
 
 	totWarpInstrs  int64
@@ -101,50 +106,74 @@ func (b *Block) Staged(key any, create func() any) any {
 	return v
 }
 
-// SharedF32 returns (allocating on first use) a named per-block shared
-// memory array of n float32. Shared memory never touches the global
-// hierarchy; charge accesses with Thread.Op as kernel code would pay
-// shared-memory instructions.
-func (b *Block) SharedF32(name string, n int) []float32 {
-	if v, ok := b.shared[name]; ok {
-		s := v.([]float32)
+// sharedEntry is one named shared-memory array of a block: a []float32,
+// []uint64 or []int32, and the block generation that last zeroed it.
+type sharedEntry struct {
+	gen uint64
+	arr any
+}
+
+// reset readies the serial engine's reused block for its next dispatch.
+// Every field starts from its zero value, as in a fresh Block, except
+// the storage that outlives one block: the shared arrays, which the new
+// generation re-zeroes on first use, and the events buffer.
+func (b *Block) reset(d *Device, grid, block Dim3, lin int, start int64) {
+	*b = Block{
+		dev:       d,
+		Idx:       grid.Unlinear(lin),
+		BlockDim:  block,
+		GridDim:   grid,
+		LinearIdx: lin,
+		startTime: start,
+		shared:    b.shared,
+		gen:       b.gen + 1,
+		events:    b.events[:0],
+	}
+}
+
+// sharedArray returns the block's shared array name of n elements of
+// type T. The array lives as long as the Block: the first use in a block
+// zeroes it (or allocates it, when the name is new or its size or type
+// changed since the last block), and later uses in the same block return
+// it as is. Asking for the same name with a different size or type within
+// one block panics.
+func sharedArray[T float32 | uint64 | int32](b *Block, name string, n int) []T {
+	e := b.shared[name]
+	if e != nil && e.gen == b.gen {
+		s := e.arr.([]T)
 		if len(s) != n {
 			panic(fmt.Sprintf("gpusim: shared %q reallocated with different size %d != %d", name, n, len(s)))
 		}
 		return s
 	}
-	s := make([]float32, n)
-	b.shared[name] = s
+	if e == nil {
+		if b.shared == nil {
+			b.shared = map[string]*sharedEntry{}
+		}
+		e = &sharedEntry{}
+		b.shared[name] = e
+	}
+	e.gen = b.gen
+	if s, ok := e.arr.([]T); ok && len(s) == n {
+		clear(s)
+		return s
+	}
+	s := make([]T, n)
+	e.arr = s
 	return s
 }
+
+// SharedF32 returns a named per-block shared memory array of n float32,
+// zeroed at the block's first request. Shared memory never touches the
+// global hierarchy; charge accesses with Thread.Op as kernel code would
+// pay shared-memory instructions.
+func (b *Block) SharedF32(name string, n int) []float32 { return sharedArray[float32](b, name, n) }
 
 // SharedU64 returns a named per-block shared memory array of n uint64.
-func (b *Block) SharedU64(name string, n int) []uint64 {
-	if v, ok := b.shared[name]; ok {
-		s := v.([]uint64)
-		if len(s) != n {
-			panic(fmt.Sprintf("gpusim: shared %q reallocated with different size %d != %d", name, n, len(s)))
-		}
-		return s
-	}
-	s := make([]uint64, n)
-	b.shared[name] = s
-	return s
-}
+func (b *Block) SharedU64(name string, n int) []uint64 { return sharedArray[uint64](b, name, n) }
 
 // SharedI32 returns a named per-block shared memory array of n int32.
-func (b *Block) SharedI32(name string, n int) []int32 {
-	if v, ok := b.shared[name]; ok {
-		s := v.([]int32)
-		if len(s) != n {
-			panic(fmt.Sprintf("gpusim: shared %q reallocated with different size %d != %d", name, n, len(s)))
-		}
-		return s
-	}
-	s := make([]int32, n)
-	b.shared[name] = s
-	return s
-}
+func (b *Block) SharedI32(name string, n int) []int32 { return sharedArray[int32](b, name, n) }
 
 // Barrier charges one explicit __syncthreads (phases already include an
 // implicit trailing barrier; use this for extra synchronization points a

@@ -6,7 +6,9 @@ import (
 	"gpulp/internal/memsim"
 )
 
-// KernelFunc is the body of a kernel, invoked once per thread block.
+// KernelFunc is the body of a kernel, invoked once per thread block. b
+// and the shared arrays it hands out are valid only until the call
+// returns: the device reuses them for the blocks that follow.
 type KernelFunc func(b *Block)
 
 // Device is a simulated GPU attached to a simulated global memory.
@@ -29,6 +31,17 @@ type Device struct {
 	// when it aborts. Written once per launch before any worker goroutine
 	// starts, so concurrent reads during the functional pass are safe.
 	launchName string
+
+	// Launch scratch, reused from one launch to the next so that a warm
+	// launch allocates nothing. inLaunch guards it: a launch started while
+	// another is in flight on the same device panics.
+	inLaunch bool
+	slots    []int64 // per SM block slot: when it frees up
+	order    []int   // 0, 1, 2, …: a full-grid launch dispatches a prefix
+	recs     []blockRec
+	events   []opEvent // flat event arena; recs[i].events are sub-slices
+	block    Block     // the serial engine's block, reset per dispatch
+	sched    schedScratch
 }
 
 // Heartbeat is one liveness report from a launch in flight: the device
@@ -201,6 +214,11 @@ func (d *Device) launch(name string, grid, block Dim3, kernel KernelFunc, select
 	if kernel == nil {
 		panic("gpusim: nil kernel")
 	}
+	if d.inLaunch {
+		panic(fmt.Sprintf("gpusim: launch %q started from inside launch %q on the same device", name, d.launchName))
+	}
+	d.inLaunch = true
+	defer func() { d.inLaunch = false }()
 	d.launchName = name
 	// An abort request targets the launch in flight; a stale request made
 	// between launches must not kill the next one.
@@ -213,16 +231,21 @@ func (d *Device) launch(name string, grid, block Dim3, kernel KernelFunc, select
 	if perSM < 1 {
 		perSM = 1
 	}
-	slots := make([]int64, d.cfg.NumSMs*perSM)
+	d.slots = resize(d.slots, d.cfg.NumSMs*perSM)
+	slots := d.slots
+	clear(slots)
 
 	order := selected
 	if order == nil {
-		order = make([]int, grid.Size())
-		for i := range order {
-			order[i] = i
+		if n := grid.Size(); len(d.order) < n {
+			d.order = make([]int, n)
+			for i := range d.order {
+				d.order[i] = i
+			}
 		}
+		order = d.order[:grid.Size()]
 	}
-	for _, lin := range order {
+	for _, lin := range selected {
 		if lin < 0 || lin >= grid.Size() {
 			panic(fmt.Sprintf("gpusim: selected block %d out of grid %v", lin, grid))
 		}
@@ -234,33 +257,57 @@ func (d *Device) launch(name string, grid, block Dim3, kernel KernelFunc, select
 	for _, l := range d.locks {
 		l.reset()
 	}
+	d.recs = d.recs[:0]
+	d.events = d.events[:0]
 
 	// Pass 1: functional execution in dispatch order, with a zero-queueing
 	// greedy schedule providing approximate absolute times (used only by
-	// RacyTouch race windows). Serialization events are recorded per block.
+	// RacyTouch race windows). Each retired block is recorded in d.recs.
 	// With Workers > 1, blocks execute speculatively on a host pool and are
 	// committed in dispatch order, producing bit-identical recs.
-	var recs []blockRec
 	if d.cfg.Workers > 1 && len(order) > 1 {
-		recs = d.runBlocksParallel(grid, block, kernel, order, slots, &res)
+		d.runBlocksParallel(grid, block, kernel, order, slots, &res)
 	} else {
-		recs = d.runBlocksSerial(grid, block, kernel, order, slots, &res)
+		d.runBlocksSerial(grid, block, kernel, order, slots, &res)
 	}
-	res.Blocks = len(recs)
+	res.Blocks = len(d.recs)
 
 	// Pass 2: fixed-point timing with queueing delays.
-	cycles, aStall, lStall := d.schedule(recs, len(slots))
-	res.Cycles = cycles
-	res.AtomicStallCycles += aStall
-	res.LockStallCycles = lStall
-	d.emitTrace(name, order, recs, cycles)
+	sr := d.schedule(d.recs, len(slots))
+	res.Cycles = sr.cycles
+	res.AtomicStallCycles += sr.atomicStall
+	res.LockStallCycles = sr.lockStall
+	d.emitTrace(name, order, d.recs, sr)
 	return res
 }
 
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// retire records a block that ran to completion: its serialization
+// events are appended to the launch's event arena, its timing record to
+// d.recs, and its charges to res.
+func (d *Device) retire(b *Block, res *LaunchResult) {
+	first := len(d.events)
+	d.events = append(d.events, b.events...)
+	d.recs = append(d.recs, blockRec{base: b.cycles, first: first, events: d.events[first:len(d.events):len(d.events)]})
+	res.WarpInstrs += b.totWarpInstrs
+	res.L2Bytes += b.totL2Bytes
+	res.NVMBytes += b.totNVMBytes
+	res.AtomicStallCycles += b.totAtomicStall
+}
+
 // runBlocksSerial executes blocks one at a time in dispatch order — the
-// reference engine every parallel run must match bit-for-bit.
-func (d *Device) runBlocksSerial(grid, block Dim3, kernel KernelFunc, order []int, slots []int64, res *LaunchResult) []blockRec {
-	recs := make([]blockRec, 0, len(order))
+// reference engine every parallel run must match bit-for-bit. Every block
+// runs in the device's one reused Block.
+func (d *Device) runBlocksSerial(grid, block Dim3, kernel KernelFunc, order []int, slots []int64, res *LaunchResult) {
+	b := &d.block
 	for orderIdx, lin := range order {
 		// Earliest-free slot.
 		slot := 0
@@ -279,15 +326,7 @@ func (d *Device) runBlocksSerial(grid, block Dim3, kernel KernelFunc, order []in
 			res.Interrupted = true
 			break
 		}
-		b := &Block{
-			dev:       d,
-			Idx:       grid.Unlinear(lin),
-			BlockDim:  block,
-			GridDim:   grid,
-			LinearIdx: lin,
-			startTime: start,
-			shared:    map[string]any{},
-		}
+		b.reset(d, grid, block, lin, start)
 		if wd := runBlockGuarded(kernel, b); wd != nil {
 			// Hung block: drop all volatile state so the durable image is
 			// exactly what a power failure at this dispatch point would
@@ -299,15 +338,10 @@ func (d *Device) runBlocksSerial(grid, block Dim3, kernel KernelFunc, order []in
 			break
 		}
 		slots[slot] = start + b.cycles
-		recs = append(recs, blockRec{base: b.cycles, events: b.events})
-
-		res.WarpInstrs += b.totWarpInstrs
-		res.L2Bytes += b.totL2Bytes
-		res.NVMBytes += b.totNVMBytes
-		res.AtomicStallCycles += b.totAtomicStall
+		d.retire(b, res)
 
 		if hb := d.heartbeat; hb != nil {
-			hb(Heartbeat{Device: d.id, Launch: d.launchName, Blocks: len(recs), Cycle: slots[slot]})
+			hb(Heartbeat{Device: d.id, Launch: d.launchName, Blocks: len(d.recs), Cycle: slots[slot]})
 		}
 		if d.abortPending {
 			d.abortPending = false
@@ -316,11 +350,10 @@ func (d *Device) runBlocksSerial(grid, block Dim3, kernel KernelFunc, order []in
 			res.Aborted = true
 			break
 		}
-		if tr := d.crash; tr != nil && tr.AfterBlocks > 0 && len(recs) >= tr.AfterBlocks {
+		if tr := d.crash; tr != nil && tr.AfterBlocks > 0 && len(d.recs) >= tr.AfterBlocks {
 			d.fireCrash()
 			res.Interrupted = true
 			break
 		}
 	}
-	return recs
 }

@@ -25,7 +25,6 @@ func (d *Device) runSpecBlock(grid, block Dim3, kernel KernelFunc, lin int, snap
 		BlockDim:  block,
 		GridDim:   grid,
 		LinearIdx: lin,
-		shared:    map[string]any{},
 		spec:      &specState{snap: snap, overlay: map[uint64]uint32{}},
 	}
 	defer func() {
@@ -49,7 +48,6 @@ func (d *Device) reexecBlock(grid, block Dim3, kernel KernelFunc, lin int, start
 		GridDim:   grid,
 		LinearIdx: lin,
 		startTime: start,
-		shared:    map[string]any{},
 	}
 	wd := runBlockGuarded(kernel, b)
 	return b, wd
@@ -62,7 +60,7 @@ func (d *Device) reexecBlock(grid, block Dim3, kernel KernelFunc, lin int, start
 // the block directly — so every observable output is bit-identical to
 // runBlocksSerial. Crash triggers are evaluated at the same points as the
 // serial loop, against the same greedy schedule.
-func (d *Device) runBlocksParallel(grid, block Dim3, kernel KernelFunc, order []int, slots []int64, res *LaunchResult) []blockRec {
+func (d *Device) runBlocksParallel(grid, block Dim3, kernel KernelFunc, order []int, slots []int64, res *LaunchResult) {
 	workers := d.cfg.Workers
 	if workers > len(order) {
 		workers = len(order)
@@ -120,7 +118,6 @@ func (d *Device) runBlocksParallel(grid, block Dim3, kernel KernelFunc, order []
 	}
 	defer finish()
 
-	recs := make([]blockRec, 0, len(order))
 	scratch := map[uint64]uint32{}
 	for orderIdx, lin := range order {
 		// Earliest-free slot and dispatch skew: identical arithmetic to the
@@ -139,7 +136,7 @@ func (d *Device) runBlocksParallel(grid, block Dim3, kernel KernelFunc, order []
 			finish()
 			d.fireCrash()
 			res.Interrupted = true
-			return recs
+			return
 		}
 
 		b := <-results[orderIdx]
@@ -160,21 +157,17 @@ func (d *Device) runBlocksParallel(grid, block Dim3, kernel KernelFunc, order []
 				d.mem.Crash()
 				res.Interrupted = true
 				res.Watchdog = wd
-				return recs
+				return
 			}
 		}
 
 		slots[slot] = start + b.cycles
-		recs = append(recs, blockRec{base: b.cycles, events: b.events})
-		res.WarpInstrs += b.totWarpInstrs
-		res.L2Bytes += b.totL2Bytes
-		res.NVMBytes += b.totNVMBytes
-		res.AtomicStallCycles += b.totAtomicStall
+		d.retire(b, res)
 
 		// Heartbeat and external abort: the identical observation point to
 		// the serial engine (after a block commits, before crash triggers).
 		if hb := d.heartbeat; hb != nil {
-			hb(Heartbeat{Device: d.id, Launch: d.launchName, Blocks: len(recs), Cycle: slots[slot]})
+			hb(Heartbeat{Device: d.id, Launch: d.launchName, Blocks: len(d.recs), Cycle: slots[slot]})
 		}
 		if d.abortPending {
 			d.abortPending = false
@@ -182,16 +175,15 @@ func (d *Device) runBlocksParallel(grid, block Dim3, kernel KernelFunc, order []
 			d.mem.Crash()
 			res.Interrupted = true
 			res.Aborted = true
-			return recs
+			return
 		}
-		if tr := d.crash; tr != nil && tr.AfterBlocks > 0 && len(recs) >= tr.AfterBlocks {
+		if tr := d.crash; tr != nil && tr.AfterBlocks > 0 && len(d.recs) >= tr.AfterBlocks {
 			finish()
 			d.fireCrash()
 			res.Interrupted = true
-			return recs
+			return
 		}
 		tickets <- struct{}{}
 	}
 	finish()
-	return recs
 }

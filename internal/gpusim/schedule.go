@@ -23,10 +23,46 @@ type opEvent struct {
 
 // blockRec captures one executed block for timing reconstruction.
 type blockRec struct {
-	base   int64 // cycles excluding queueing delays
+	base int64 // cycles excluding queueing delays
+	// events is the block's slice of the launch's event arena (see
+	// Device.retire); first is its offset there, which also indexes the
+	// block's events in schedule's flat per-event arrays.
 	events []opEvent
+	first  int
 	stall  int64 // total queueing delay (computed)
 	start  int64 // scheduled start (computed)
+}
+
+// flatEvent is one event in schedule's global time-ordered sweep.
+type flatEvent struct {
+	time  int64
+	blk   int
+	idx   int
+	order int
+}
+
+// schedScratch is schedule's working storage. It lives on the Device and
+// only grows, so a schedule pass allocates nothing once it has seen a
+// launch as large as the current one.
+type schedScratch struct {
+	// eff is the damped delay of every event of the launch, indexed by
+	// blockRec.first plus the event's index in its block; cumBefore holds
+	// the per-block prefix sums (shifting later events within the same
+	// block).
+	eff, cumBefore []int64
+	free           []int64 // per slot: when it frees up
+	events         []flatEvent
+	sectorFree     map[uint64]int64
+	lockFree       map[*Lock]int64
+}
+
+// schedResult is the outcome of one schedule pass. iters is the number
+// of fixed-point iterations it ran (0 for a launch without events) and
+// residual the total delay change of the last one (0 when it converged).
+type schedResult struct {
+	cycles, atomicStall, lockStall int64
+	iters                          int
+	residual                       int64
 }
 
 // schedule computes the launch timing as a damped fixed point: block
@@ -43,26 +79,21 @@ type blockRec struct {
 // which compresses the schedule, which restores contention; averaging
 // converges to the self-limiting steady state a true event-driven
 // simulation reaches.
-func (d *Device) schedule(blocks []blockRec, slots int) (cycles, atomicStall, lockStall int64) {
+func (d *Device) schedule(blocks []blockRec, slots int) (sr schedResult) {
 	cfg := d.cfg
-	type flatEvent struct {
-		time  int64
-		blk   int
-		idx   int
-		order int
-	}
-	// eff is the damped per-event delay; cumBefore its prefix sums
-	// (shifting later events within the same block).
-	eff := make([][]int64, len(blocks))
-	cumBefore := make([][]int64, len(blocks))
+	sc := &d.sched
 	nEvents := 0
 	for i := range blocks {
-		eff[i] = make([]int64, len(blocks[i].events))
-		cumBefore[i] = make([]int64, len(blocks[i].events))
 		nEvents += len(blocks[i].events)
 	}
+	sc.eff = resize(sc.eff, nEvents)
+	sc.cumBefore = resize(sc.cumBefore, nEvents)
+	clear(sc.eff)
+	clear(sc.cumBefore)
+	eff, cumBefore := sc.eff, sc.cumBefore
 
-	free := make([]int64, slots)
+	sc.free = resize(sc.free, slots)
+	free := sc.free
 	reschedule := func() {
 		clear(free)
 		for i := range blocks {
@@ -81,24 +112,29 @@ func (d *Device) schedule(blocks []blockRec, slots int) (cycles, atomicStall, lo
 		}
 	}
 
-	events := make([]flatEvent, 0, nEvents)
-	sectorFree := map[uint64]int64{}
-	lockFree := map[*Lock]int64{}
+	if sc.sectorFree == nil {
+		sc.sectorFree = map[uint64]int64{}
+		sc.lockFree = map[*Lock]int64{}
+	}
+	sectorFree, lockFree := sc.sectorFree, sc.lockFree
 
 	const maxIters = 12
-	for iter := 0; iter < maxIters && nEvents > 0; iter++ {
+	for nEvents > 0 && sr.iters < maxIters {
+		sr.iters++
 		reschedule()
 
 		// Sweep all events in simulated-time order.
-		events = events[:0]
+		events := sc.events[:0]
 		for i := range blocks {
+			first := blocks[i].first
 			for j := range blocks[i].events {
 				events = append(events, flatEvent{
-					time: blocks[i].start + blocks[i].events[j].offset + cumBefore[i][j],
+					time: blocks[i].start + blocks[i].events[j].offset + cumBefore[first+j],
 					blk:  i, idx: j, order: len(events),
 				})
 			}
 		}
+		sc.events = events
 		// order is unique, so this is a total order: any sort algorithm
 		// yields the same sequence.
 		slices.SortFunc(events, func(a, b flatEvent) int {
@@ -141,23 +177,26 @@ func (d *Device) schedule(blocks []blockRec, slots int) (cycles, atomicStall, lo
 				}
 			}
 			// Damped update toward the sweep's delay.
-			next := (eff[fe.blk][fe.idx] + delay + 1) / 2
-			if diff := next - eff[fe.blk][fe.idx]; diff > 0 {
+			k := blocks[fe.blk].first + fe.idx
+			next := (eff[k] + delay + 1) / 2
+			if diff := next - eff[k]; diff > 0 {
 				changed += diff
 			} else {
 				changed -= diff
 			}
-			eff[fe.blk][fe.idx] = next
+			eff[k] = next
 		}
 
 		for i := range blocks {
+			first := blocks[i].first
 			var cum int64
 			for j := range blocks[i].events {
-				cumBefore[i][j] = cum
-				cum += eff[i][j]
+				cumBefore[first+j] = cum
+				cum += eff[first+j]
 			}
 			blocks[i].stall = cum
 		}
+		sr.residual = changed
 		if changed == 0 {
 			break
 		}
@@ -169,16 +208,16 @@ func (d *Device) schedule(blocks []blockRec, slots int) (cycles, atomicStall, lo
 
 	for i := range blocks {
 		end := blocks[i].start + blocks[i].base + blocks[i].stall
-		if end > cycles {
-			cycles = end
+		if end > sr.cycles {
+			sr.cycles = end
 		}
 		for j, ev := range blocks[i].events {
 			if ev.lock != nil {
-				lockStall += eff[i][j]
+				sr.lockStall += eff[blocks[i].first+j]
 			} else {
-				atomicStall += eff[i][j]
+				sr.atomicStall += eff[blocks[i].first+j]
 			}
 		}
 	}
-	return cycles, atomicStall, lockStall
+	return sr
 }

@@ -26,6 +26,13 @@ type LaunchTrace struct {
 	Name   string       `json:"name"`
 	Cycles int64        `json:"cycles"`
 	Blocks []BlockTrace `json:"blocks"`
+	// Iterations is how many fixed-point iterations the timing pass ran
+	// (0 for a launch without serialization events, at most 12), and
+	// Residual the total change of the per-event delays in the last one:
+	// 0 when the pass converged, otherwise how far from a fixed point it
+	// stopped.
+	Iterations int   `json:"iterations"`
+	Residual   int64 `json:"residual"`
 }
 
 // TotalStall sums queueing delays over all blocks.
@@ -57,11 +64,12 @@ func (d *Device) SetTraceSink(sink func(LaunchTrace)) func(LaunchTrace) {
 }
 
 // emitTrace builds and delivers the trace for a completed launch.
-func (d *Device) emitTrace(name string, order []int, recs []blockRec, cycles int64) {
+func (d *Device) emitTrace(name string, order []int, recs []blockRec, sr schedResult) {
 	if d.traceSink == nil {
 		return
 	}
-	tr := LaunchTrace{Name: name, Cycles: cycles, Blocks: make([]BlockTrace, len(recs))}
+	tr := LaunchTrace{Name: name, Cycles: sr.cycles, Blocks: make([]BlockTrace, len(recs)),
+		Iterations: sr.iters, Residual: sr.residual}
 	for i, rec := range recs {
 		tr.Blocks[i] = BlockTrace{
 			LinearIdx: order[i],

@@ -181,12 +181,7 @@ func (m *Memory) SnapshotNVM() []byte {
 // discards every cached line, exactly as a checkpoint restore after a
 // crash would. Bytes allocated after the snapshot was taken are zeroed.
 func (m *Memory) RestoreNVM(img []byte) {
-	if len(img) > len(m.nvm) {
-		// Replacing the backing array is safe under an active snapshot:
-		// the snapshot holds its own reference, and the mutators preserve
-		// pre-mutation bytes from that frozen array, not this one.
-		m.nvm = make([]byte, len(img))
-	}
+	m.growNVM(len(img))
 	// Route through the snapshot-safe mutator: a raw copy here would
 	// rewrite lines an active copy-on-write snapshot has not captured
 	// yet, corrupting the frozen view parallel workers are reading.

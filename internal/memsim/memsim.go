@@ -275,11 +275,7 @@ func (m *Memory) Alloc(name string, size int) Region {
 	base := (m.next + ls - 1) &^ (ls - 1)
 	end := base + uint64(size)
 	m.next = (end + ls - 1) &^ (ls - 1)
-	if int(m.next) > len(m.nvm) {
-		grown := make([]byte, m.next)
-		copy(grown, m.nvm)
-		m.nvm = grown
-	}
+	m.growNVM(int(m.next))
 	r := Region{mem: m, Name: name, Base: base, Size: size}
 	m.regions = append(m.regions, r)
 	return r
@@ -355,12 +351,21 @@ func (m *Memory) fillLine(lineAddr uint64) (*line, AccessResult) {
 	return victim, res
 }
 
+// ensureNVM extends the durable array to cover the line at lineAddr.
 func (m *Memory) ensureNVM(lineAddr uint64) {
-	end := int(lineAddr) + m.cfg.LineSize
+	m.growNVM(int(lineAddr) + m.cfg.LineSize)
+}
+
+// growNVM extends the durable array to at least end bytes; the new bytes
+// are zero. Every growth goes through here. append grows the capacity
+// geometrically, so a run of allocations copies the image a logarithmic
+// number of times, not once per allocation. Growing in place is safe
+// under an active snapshot: the snapshot keeps its own slice of the array
+// and reads only below that slice's length, and every write below it
+// goes through mutateNVM.
+func (m *Memory) growNVM(end int) {
 	if end > len(m.nvm) {
-		grown := make([]byte, end)
-		copy(grown, m.nvm)
-		m.nvm = grown
+		m.nvm = append(m.nvm, make([]byte, end-len(m.nvm))...)
 	}
 }
 
