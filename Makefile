@@ -4,10 +4,12 @@ GO ?= go
 
 all: ci
 
-# vet: go vet plus lpvet, the repo's own static-contract suite
+# vet: gofmt, go vet and lpvet, the repo's own static-contract suite
 # (determinism, fencepair, persistbarrier, errcompare, seedplumb —
-# see DESIGN.md §7). Both must be clean.
+# see DESIGN.md §7). All three must be clean: any file gofmt -l lists
+# fails the target.
 vet:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/lpvet ./...
 
@@ -29,14 +31,12 @@ race:
 	$(GO) test -race ./...
 
 # race-parallel: focused -race coverage of the host-parallel execution
-# paths — the speculative block engine (gpusim), the root determinism
-# suite's store/recovery slices, and the harness/campaign fan-out.
+# paths, the harness and campaign fan-out (internal/parwork).
 race-parallel:
-	$(GO) test -race -run 'TestParallel' ./internal/gpusim/
-	$(GO) test -race -short -run 'TestParallelDeterminismStores|TestParallelDeterminismRecovery' .
 	$(GO) test -race -run 'TestCampaignParallel|TestScalingParallel' ./internal/faultsim/ ./internal/harness/
 
-# matrix: the parallel determinism suite at two host scheduler widths;
+# matrix: the determinism suite (every pin runs its configuration twice,
+# campaigns also at host fan-out 1 and 8) at two host scheduler widths;
 # GOMAXPROCS must never change a reported number. -count=1 defeats the
 # test cache, which does not key on GOMAXPROCS (the runtime reads it,
 # not the test).
@@ -105,7 +105,7 @@ model-soak:
 	$(GO) run ./cmd/lpcheck -model all -seed 1 -n 4000 -quiet
 
 # serve-smoke: the MEGA-KV serving layer under race, the root
-# determinism pin (Workers 1 vs 8, byte-identical reports), and a quick
+# determinism pin (two runs, byte-identical reports), and a quick
 # mid-serving crash sweep over every persistency model. Exits non-zero
 # on any report divergence, ledger violation, recovery mismatch or
 # panic.
@@ -123,10 +123,11 @@ serve-soak:
 
 # replica-smoke: replicated durable placement under race (placer and
 # adoption unit contracts, the cluster-backed serving layer), the root
-# determinism pin (replicated run + campaign, Workers 1 vs 8), and a
-# quick R in {1,2} failover sweep — every R>=2 case must recover via
-# replica adoption with zero re-executed blocks and a bit-exact pool
-# audit. Exits non-zero on any contract breach, mismatch or panic.
+# determinism pin (the replicated run twice, the campaign at host fan-out
+# 1 vs 8), and a quick R in {1,2} failover sweep — every R>=2 case must
+# recover via replica adoption with zero re-executed blocks and a
+# bit-exact pool audit. Exits non-zero on any contract breach, mismatch
+# or panic.
 replica-smoke:
 	$(GO) test -race -run 'TestReplica|TestPlacer|TestCluster' ./internal/cluster/ ./internal/serve/ ./internal/faultsim/
 	$(GO) test -race -count=1 -run 'TestParallelDeterminismReplicatedCluster|TestServeClusterDeterminism' .

@@ -259,22 +259,6 @@ func BenchmarkTable1Inventory(b *testing.B) {
 	}
 }
 
-// BenchmarkEPCompare regenerates the §I/§II motivation: Eager vs Lazy
-// Persistency on time overhead and NVM write amplification.
-func BenchmarkEPCompare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		tbl, err := r.EPCompare()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range tbl.Rows {
-			reportPct(b, row[0]+"-ep-%", row[1])
-			reportPct(b, row[0]+"-lp-%", row[2])
-		}
-	}
-}
-
 // BenchmarkAblationScaling sweeps thread-block count — the paper's title
 // claim: the global array scales, hash tables do not, locks are fatal.
 func BenchmarkAblationScaling(b *testing.B) {

@@ -26,7 +26,6 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		format   = flag.String("format", "text", "output format: text or markdown")
 		parallel = flag.Int("parallel", 1, "host goroutines fanning out independent experiment runs (results are bit-identical at any value)")
-		workers  = flag.Int("workers", 1, "host goroutines per simulated device executing thread blocks speculatively (results are bit-identical at any value)")
 		model    = flag.String("model", "", "persistency models for the modelcompare sweep: comma-separated from "+strings.Join(pmodel.Names(), ",")+", or \"all\" (default)")
 	)
 	flag.Parse()
@@ -52,7 +51,6 @@ func main() {
 	opt.Scale = *scale
 	opt.Verify = *verify
 	opt.Parallel = *parallel
-	opt.Dev.Workers = *workers
 	if *model != "" {
 		specs, err := pmodel.Parse(*model)
 		if err != nil {

@@ -18,8 +18,8 @@
 //	lpserve -devices 2 -fail-launch 1 -keep-classes 1 -json
 //
 // Reports are deterministic: the same flags produce byte-identical
-// output at any -workers value and across reruns. See DESIGN.md §9-10
-// and EXPERIMENTS.md for the recorded sweeps.
+// output across reruns. See DESIGN.md §9-10 and EXPERIMENTS.md for the
+// recorded sweeps.
 package main
 
 import (
@@ -42,7 +42,7 @@ type cliFlags struct {
 	horizon, wait        int64
 	rateScale, admitRate float64
 	burst, batch         int
-	workers, crash       int
+	crash                int
 	baseline, list, json bool
 
 	devices, failLaunch, failDevice int
@@ -86,9 +86,6 @@ func validateFlags(set map[string]bool, f cliFlags) error {
 	}
 	if f.burst < 0 {
 		return fmt.Errorf("-admit-burst %d must be non-negative", f.burst)
-	}
-	if f.workers < 1 {
-		return fmt.Errorf("-workers %d must be >= 1", f.workers)
 	}
 	if f.crash < 0 {
 		return fmt.Errorf("-crash %d must be non-negative", f.crash)
@@ -160,7 +157,6 @@ func main() {
 	flag.IntVar(&f.burst, "admit-burst", 0, "token-bucket burst depth (0 = default)")
 	flag.IntVar(&f.batch, "batch", 0, "max requests per kernel launch (0 = default; must be a multiple of 128)")
 	flag.Int64Var(&f.wait, "wait", 0, "batching deadline in cycles (0 = default)")
-	flag.IntVar(&f.workers, "workers", 1, "host goroutines executing thread blocks speculatively (bit-identical at any value)")
 	flag.IntVar(&f.crash, "crash", 0, "crash the memory system during the Nth launch and recover (requires a persistency model)")
 	flag.BoolVar(&f.baseline, "baseline", true, "also run the bare (model none) config and report durability overhead")
 	flag.BoolVar(&f.json, "json", false, "emit the report as JSON")
@@ -225,7 +221,6 @@ func main() {
 	if f.wait > 0 {
 		cfg.MaxWaitCycles = f.wait
 	}
-	cfg.Dev.Workers = f.workers
 
 	if set["devices"] {
 		runCluster(cfg, f)

@@ -13,7 +13,6 @@ func defaults() cliFlags {
 		policy:      "token-bucket",
 		seed:        1,
 		rateScale:   1,
-		workers:     1,
 		baseline:    true,
 		keepClasses: -1,
 	}
@@ -48,7 +47,6 @@ func TestValidateFlags(t *testing.T) {
 		{"negative horizon", []string{"horizon"}, func(f *cliFlags) { f.horizon = -1 }, "-horizon"},
 		{"negative wait", []string{"wait"}, func(f *cliFlags) { f.wait = -5 }, "-wait"},
 		{"unaligned batch", []string{"batch"}, func(f *cliFlags) { f.batch = 100 }, "-batch"},
-		{"zero workers", []string{"workers"}, func(f *cliFlags) { f.workers = 0 }, "-workers"},
 		{"cluster ok", []string{"devices"}, func(f *cliFlags) { f.devices = 3 }, ""},
 		{"cluster failure ok", []string{"devices", "fail-launch", "fail-device"},
 			func(f *cliFlags) { f.devices = 3; f.failLaunch = 2; f.failDevice = 1 }, ""},

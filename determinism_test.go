@@ -1,10 +1,12 @@
 package gpulp_test
 
-// Determinism regression suite for the parallel execution engine: every
-// observable output of a run with Config.Workers=N must be bit-identical
-// to the serial engine (Workers=1). This is the contract that lets the
-// harness and fault campaigns parallelize without perturbing any number
-// the repo reports.
+// Determinism regression suite: every observable output of a run must be
+// bit-identical when the same configuration runs again, and a campaign's
+// report must not depend on its host fan-out (Parallel). Two runs in one
+// process differ if any output leaks Go's randomized map iteration order;
+// `make matrix` repeats the suite at two GOMAXPROCS values. This is the
+// contract that lets the harness and fault campaigns parallelize without
+// perturbing any number the repo reports.
 
 import (
 	"bytes"
@@ -22,8 +24,6 @@ import (
 	"gpulp/internal/memsim"
 )
 
-const detWorkers = 8
-
 // kernelRun captures every observable output of one workload run.
 type kernelRun struct {
 	launch   gpusim.LaunchResult
@@ -33,12 +33,10 @@ type kernelRun struct {
 	nvm      []byte
 }
 
-func runWorkload(t *testing.T, name string, workers int, lpCfg *core.Config) kernelRun {
+func runWorkload(t *testing.T, name string, lpCfg *core.Config) kernelRun {
 	t.Helper()
 	mem := memsim.MustNew(memsim.DefaultConfig())
-	devCfg := gpusim.DefaultConfig()
-	devCfg.Workers = workers
-	dev := gpusim.MustNew(devCfg, mem)
+	dev := gpusim.MustNew(gpusim.DefaultConfig(), mem)
 	w := kernels.New(name, 1)
 	w.Setup(dev)
 	grid, blk := w.Geometry()
@@ -55,7 +53,7 @@ func runWorkload(t *testing.T, name string, workers int, lpCfg *core.Config) ker
 		run.finalize = dev.Launch(fname, fg, fb, k)
 	}
 	if err := w.Verify(); err != nil {
-		t.Fatalf("%s (workers=%d): %v", name, workers, err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	run.memStats = mem.Stats()
 	if lp != nil {
@@ -65,24 +63,24 @@ func runWorkload(t *testing.T, name string, workers int, lpCfg *core.Config) ker
 	return run
 }
 
-func compareRuns(t *testing.T, label string, serial, parallel kernelRun) {
+func compareRuns(t *testing.T, label string, first, second kernelRun) {
 	t.Helper()
-	if serial.launch != parallel.launch {
-		t.Errorf("%s: launch result diverged\nserial:   %+v\nparallel: %+v", label, serial.launch, parallel.launch)
+	if first.launch != second.launch {
+		t.Errorf("%s: launch result diverged\nfirst:  %+v\nsecond: %+v", label, first.launch, second.launch)
 	}
-	if serial.finalize != parallel.finalize {
-		t.Errorf("%s: finalize result diverged\nserial:   %+v\nparallel: %+v", label, serial.finalize, parallel.finalize)
+	if first.finalize != second.finalize {
+		t.Errorf("%s: finalize result diverged\nfirst:  %+v\nsecond: %+v", label, first.finalize, second.finalize)
 	}
-	if !reflect.DeepEqual(serial.memStats, parallel.memStats) {
-		t.Errorf("%s: memory stats diverged\nserial:   %+v\nparallel: %+v", label, serial.memStats, parallel.memStats)
+	if !reflect.DeepEqual(first.memStats, second.memStats) {
+		t.Errorf("%s: memory stats diverged\nfirst:  %+v\nsecond: %+v", label, first.memStats, second.memStats)
 	}
-	if serial.tabStats != parallel.tabStats {
-		t.Errorf("%s: checksum-store stats diverged\nserial:   %+v\nparallel: %+v", label, serial.tabStats, parallel.tabStats)
+	if first.tabStats != second.tabStats {
+		t.Errorf("%s: checksum-store stats diverged\nfirst:  %+v\nsecond: %+v", label, first.tabStats, second.tabStats)
 	}
-	if !bytes.Equal(serial.nvm, parallel.nvm) {
-		for i := range serial.nvm {
-			if serial.nvm[i] != parallel.nvm[i] {
-				t.Errorf("%s: NVM image diverged at byte %#x (serial %#x, parallel %#x)", label, i, serial.nvm[i], parallel.nvm[i])
+	if !bytes.Equal(first.nvm, second.nvm) {
+		for i := range first.nvm {
+			if first.nvm[i] != second.nvm[i] {
+				t.Errorf("%s: NVM image diverged at byte %#x (first %#x, second %#x)", label, i, first.nvm[i], second.nvm[i])
 				break
 			}
 		}
@@ -90,10 +88,10 @@ func compareRuns(t *testing.T, label string, serial, parallel kernelRun) {
 }
 
 // TestParallelDeterminismKernels runs every registered workload — bare and
-// under the default LP configuration — with the serial and parallel
-// engines, asserting that kernel cycles, byte/stall totals, NVM write
-// counters (total and by-region), collision statistics, and the full
-// post-run durable memory image are bit-identical.
+// under the default LP configuration — twice, asserting that kernel
+// cycles, byte/stall totals, NVM write counters (total and by-region),
+// collision statistics, and the full post-run durable memory image are
+// bit-identical.
 func TestParallelDeterminismKernels(t *testing.T) {
 	names := append([]string{}, kernels.Names...)
 	names = append(names, "megakv-mixed")
@@ -101,12 +99,12 @@ func TestParallelDeterminismKernels(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			compareRuns(t, name+"/bare",
-				runWorkload(t, name, 1, nil),
-				runWorkload(t, name, detWorkers, nil))
+				runWorkload(t, name, nil),
+				runWorkload(t, name, nil))
 			lpCfg := core.DefaultConfig()
 			compareRuns(t, name+"/lp",
-				runWorkload(t, name, 1, &lpCfg),
-				runWorkload(t, name, detWorkers, &lpCfg))
+				runWorkload(t, name, &lpCfg),
+				runWorkload(t, name, &lpCfg))
 		})
 	}
 }
@@ -137,8 +135,8 @@ func TestParallelDeterminismStores(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Seed = 0x1157c
 			compareRuns(t, "tmm/"+tc.label,
-				runWorkload(t, "tmm", 1, &cfg),
-				runWorkload(t, "tmm", detWorkers, &cfg))
+				runWorkload(t, "tmm", &cfg),
+				runWorkload(t, "tmm", &cfg))
 		})
 	}
 }
@@ -150,12 +148,10 @@ type recoveryRun struct {
 	nvm    []byte
 }
 
-func runRecovery(t *testing.T, workers int) recoveryRun {
+func runRecovery(t *testing.T) recoveryRun {
 	t.Helper()
 	mem := memsim.MustNew(memsim.DefaultConfig())
-	devCfg := gpusim.DefaultConfig()
-	devCfg.Workers = workers
-	dev := gpusim.MustNew(devCfg, mem)
+	dev := gpusim.MustNew(gpusim.DefaultConfig(), mem)
 	w := kernels.New("tmm", 1)
 	w.Setup(dev)
 	grid, blk := w.Geometry()
@@ -165,52 +161,49 @@ func runRecovery(t *testing.T, workers int) recoveryRun {
 	dev.SetCrashTrigger(&gpusim.CrashTrigger{AfterBlocks: grid.Size() / 2})
 	res := dev.Launch("tmm", grid, blk, kernel)
 	if !res.Interrupted {
-		t.Fatalf("workers=%d: crash trigger did not fire", workers)
+		t.Fatal("crash trigger did not fire")
 	}
 	rep, err := lp.ValidateAndRecover(kernel, w.Recompute(), 3)
 	if err != nil {
-		t.Fatalf("workers=%d: recovery failed: %v", workers, err)
+		t.Fatalf("recovery failed: %v", err)
 	}
 	if err := w.Verify(); err != nil {
-		t.Fatalf("workers=%d: post-recovery verify failed: %v", workers, err)
+		t.Fatalf("post-recovery verify failed: %v", err)
 	}
 	return recoveryRun{report: rep, nvm: mem.NVMImage()}
 }
 
 // TestParallelDeterminismRecovery asserts that a mid-launch crash, the
 // validation pass, and the selective re-execution produce identical
-// recovery reports and durable images under both engines.
+// recovery reports and durable images when run twice.
 func TestParallelDeterminismRecovery(t *testing.T) {
-	serial := runRecovery(t, 1)
-	parallel := runRecovery(t, detWorkers)
-	if !reflect.DeepEqual(serial.report, parallel.report) {
-		t.Errorf("recovery report diverged\nserial:   %+v\nparallel: %+v", serial.report, parallel.report)
+	first := runRecovery(t)
+	second := runRecovery(t)
+	if !reflect.DeepEqual(first.report, second.report) {
+		t.Errorf("recovery report diverged\nfirst:  %+v\nsecond: %+v", first.report, second.report)
 	}
-	if !bytes.Equal(serial.nvm, parallel.nvm) {
+	if !bytes.Equal(first.nvm, second.nvm) {
 		t.Errorf("post-recovery NVM image diverged")
 	}
 }
 
 // TestParallelDeterminismFaultCampaign runs a small seeded fault-injection
-// campaign under both engines and compares the full structured reports.
+// campaign twice and compares the full structured reports.
 func TestParallelDeterminismFaultCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign smoke test skipped in -short mode")
 	}
-	run := func(workers int) *faultsim.Report {
+	run := func() *faultsim.Report {
 		c := faultsim.DefaultCampaign(2)
 		c.Kernels = []string{"tmm", "megakv-insert"}
-		c.Opt.Dev.Workers = workers
 		rep, err := c.Run()
 		if err != nil {
-			t.Fatalf("workers=%d: campaign failed: %v", workers, err)
+			t.Fatalf("campaign failed: %v", err)
 		}
 		return rep
 	}
-	serial := run(1)
-	parallel := run(detWorkers)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("campaign reports diverged\nserial:   %+v\nparallel: %+v", serial, parallel)
+	if first, second := run(), run(); !reflect.DeepEqual(first, second) {
+		t.Errorf("campaign reports diverged\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }
 
@@ -223,14 +216,13 @@ type selfHealRun struct {
 	nvm []byte
 }
 
-func runSelfHeal(t *testing.T, workers int) selfHealRun {
+func runSelfHeal(t *testing.T) selfHealRun {
 	t.Helper()
 	mcfg := memsim.DefaultConfig()
 	mcfg.CacheBytes = 256 << 10
 	mcfg.Fault = memsim.FaultConfig{Enabled: true, Seed: 77, TransientPerWrite: 0.05, StuckPerWrite: 0.01}
 	mem := memsim.MustNew(mcfg)
 	dcfg := gpusim.DefaultConfig()
-	dcfg.Workers = workers
 	dcfg.WatchdogSteps = 50_000
 	dev := gpusim.MustNew(dcfg, mem)
 
@@ -270,7 +262,7 @@ func runSelfHeal(t *testing.T, workers int) selfHealRun {
 	}
 
 	// A planted stuck-at pins block 9's lock word "held": re-execution
-	// livelocks and the watchdog must abort it identically in both engines.
+	// livelocks and the watchdog must abort it identically in both runs.
 	mem.PlantStuckAt(locks.Base+9*8, 0, 1)
 	res := dev.Launch("lockfill", grid, blk, kernel)
 	if res.Watchdog == nil {
@@ -287,55 +279,51 @@ func runSelfHeal(t *testing.T, workers int) selfHealRun {
 	})
 	var deg *core.DegradedError
 	if err != nil && !errors.As(err, &deg) {
-		t.Fatalf("workers=%d: self-heal failed: %v", workers, err)
+		t.Fatalf("self-heal failed: %v", err)
 	}
 	return selfHealRun{rep: rep, deg: deg, nvm: mem.NVMImage()}
 }
 
 // TestParallelDeterminismSelfHeal drives the full self-healing stack —
 // online media-error process, ECC scrubs, watchdog-aborted re-execution,
-// quarantine — under both engines and asserts bit-identical heal reports,
-// quarantine sets, typed degraded outcomes, and durable images.
+// quarantine — twice and asserts bit-identical heal reports, quarantine
+// sets, typed degraded outcomes, and durable images.
 func TestParallelDeterminismSelfHeal(t *testing.T) {
-	serial := runSelfHeal(t, 1)
-	parallel := runSelfHeal(t, detWorkers)
-	if !reflect.DeepEqual(serial.rep, parallel.rep) {
-		t.Errorf("heal reports diverged\nserial:   %+v\nparallel: %+v", serial.rep, parallel.rep)
+	first := runSelfHeal(t)
+	second := runSelfHeal(t)
+	if !reflect.DeepEqual(first.rep, second.rep) {
+		t.Errorf("heal reports diverged\nfirst:  %+v\nsecond: %+v", first.rep, second.rep)
 	}
-	if !reflect.DeepEqual(serial.deg, parallel.deg) {
-		t.Errorf("degraded outcomes diverged\nserial:   %+v\nparallel: %+v", serial.deg, parallel.deg)
+	if !reflect.DeepEqual(first.deg, second.deg) {
+		t.Errorf("degraded outcomes diverged\nfirst:  %+v\nsecond: %+v", first.deg, second.deg)
 	}
-	if !bytes.Equal(serial.nvm, parallel.nvm) {
+	if !bytes.Equal(first.nvm, second.nvm) {
 		t.Errorf("post-heal NVM images diverged")
 	}
-	if serial.rep.WatchdogAborts == 0 {
-		t.Errorf("planted stuck lock never tripped the watchdog: %+v", serial.rep)
+	if first.rep.WatchdogAborts == 0 {
+		t.Errorf("planted stuck lock never tripped the watchdog: %+v", first.rep)
 	}
 }
 
 // TestParallelDeterminismRateSweep runs a reduced media-error rate sweep
-// with the simulator's parallel engine enabled under both Workers values
-// and compares the full structured reports.
+// twice and compares the full structured reports.
 func TestParallelDeterminismRateSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rate-sweep smoke test skipped in -short mode")
 	}
-	run := func(workers int) *faultsim.RateReport {
+	run := func() *faultsim.RateReport {
 		s := faultsim.DefaultRateSweep(2)
 		s.Rates = []float64{0.02, 0.15}
 		s.StuckFrac = 0.3
 		s.Blocks, s.BlockThreads = 16, 32
-		s.Opt.Dev.Workers = workers
 		rep, err := s.Run()
 		if err != nil {
-			t.Fatalf("workers=%d: rate sweep failed: %v", workers, err)
+			t.Fatalf("rate sweep failed: %v", err)
 		}
 		return rep
 	}
-	serial := run(1)
-	parallel := run(detWorkers)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("rate-sweep reports diverged\nserial:   %+v\nparallel: %+v", serial, parallel)
+	if first, second := run(), run(); !reflect.DeepEqual(first, second) {
+		t.Errorf("rate-sweep reports diverged\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }
 
@@ -347,7 +335,7 @@ type clusterRun struct {
 	pool    []byte
 }
 
-func runCluster(t *testing.T, workers int) clusterRun {
+func runCluster(t *testing.T) clusterRun {
 	t.Helper()
 	cfg := cluster.DefaultConfig()
 	cfg.Devices = 3
@@ -355,7 +343,6 @@ func runCluster(t *testing.T, workers int) clusterRun {
 	cfg.BlocksPerJob = 2
 	cfg.BlockThreads = 32
 	cfg.Seed = 0x7001
-	cfg.Dev.Workers = workers
 	cfg.Failures = []cluster.FailurePlan{
 		{Job: 1, Kind: cluster.Hang, AfterBlocks: 1},
 		{Job: 4, Kind: cluster.FailStop, AfterBlocks: 1},
@@ -363,10 +350,10 @@ func runCluster(t *testing.T, workers int) clusterRun {
 	cl := cluster.MustNew(cfg)
 	rep, err := cl.Run()
 	if err != nil {
-		t.Fatalf("workers=%d: cluster run failed: %v", workers, err)
+		t.Fatalf("cluster run failed: %v", err)
 	}
 	if verr := cl.Verify(); verr != nil {
-		t.Fatalf("workers=%d: pool audit failed: %v", workers, verr)
+		t.Fatalf("pool audit failed: %v", verr)
 	}
 	js, jerr := json.Marshal(rep)
 	if jerr != nil {
@@ -377,46 +364,41 @@ func runCluster(t *testing.T, workers int) clusterRun {
 
 // TestParallelDeterminismCluster drives a 3-device cluster through a hang
 // and a fail-stop — heartbeat-timeout detection, shard fencing, durable
-// harvest, cross-device re-execution — under both engines and asserts
-// byte-identical cluster reports and shared pool images.
+// harvest, cross-device re-execution — twice and asserts byte-identical
+// cluster reports and shared pool images.
 func TestParallelDeterminismCluster(t *testing.T) {
-	serial := runCluster(t, 1)
-	parallel := runCluster(t, detWorkers)
-	if !bytes.Equal(serial.report, parallel.report) {
-		t.Errorf("cluster reports diverged\nserial:   %s\nparallel: %s", serial.report, parallel.report)
+	first := runCluster(t)
+	second := runCluster(t)
+	if !bytes.Equal(first.report, second.report) {
+		t.Errorf("cluster reports diverged\nfirst:  %s\nsecond: %s", first.report, second.report)
 	}
-	if !bytes.Equal(serial.pool, parallel.pool) {
+	if !bytes.Equal(first.pool, second.pool) {
 		t.Errorf("shared pool images diverged")
 	}
 }
 
 // TestParallelDeterminismClusterCampaign runs a reduced multi-device
-// failover campaign under both gpusim engine widths and both host
-// fan-out widths, comparing the full structured reports — the
-// acceptance pin for the cluster's Workers=1 vs Workers=8 contract.
+// failover campaign at host fan-out 1 and 8, comparing the full
+// structured reports.
 func TestParallelDeterminismClusterCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster campaign smoke test skipped in -short mode")
 	}
-	run := func(workers, hostPar int) *faultsim.ClusterReport {
+	run := func(hostPar int) *faultsim.ClusterReport {
 		c := faultsim.DefaultClusterCampaign(2)
 		c.DeviceCounts = []int{2, 3}
 		c.Jobs = 4
 		c.BlocksPerJob = 2
 		c.BlockThreads = 32
-		c.Opt.Dev.Workers = workers
 		c.Parallel = hostPar
 		rep, err := c.Run()
 		if err != nil {
-			t.Fatalf("workers=%d parallel=%d: cluster campaign failed: %v", workers, hostPar, err)
+			t.Fatalf("parallel=%d: cluster campaign failed: %v", hostPar, err)
 		}
 		return rep
 	}
-	base := run(1, 1)
-	for _, alt := range []*faultsim.ClusterReport{run(detWorkers, 1), run(1, 8), run(detWorkers, 8)} {
-		if !reflect.DeepEqual(base, alt) {
-			t.Errorf("cluster campaign reports diverged\nbase: %+v\nalt:  %+v", base, alt)
-		}
+	if base, alt := run(1), run(8); !reflect.DeepEqual(base, alt) {
+		t.Errorf("cluster campaign reports diverged\nparallel 1: %+v\nparallel 8: %+v", base, alt)
 	}
 }
 
@@ -427,7 +409,7 @@ type replicatedRun struct {
 	pool   []byte
 }
 
-func runReplicatedCluster(t *testing.T, workers int) replicatedRun {
+func runReplicatedCluster(t *testing.T) replicatedRun {
 	t.Helper()
 	cfg := cluster.DefaultConfig()
 	cfg.Devices = 3
@@ -438,23 +420,22 @@ func runReplicatedCluster(t *testing.T, workers int) replicatedRun {
 	cfg.Replicas = 2
 	cfg.Placer = cluster.Affinity
 	cfg.Model = "sbrp"
-	cfg.Dev.Workers = workers
 	cfg.Failures = []cluster.FailurePlan{
 		{Job: 2, Kind: cluster.FailStop, AfterBlocks: 1},
 	}
 	cl := cluster.MustNew(cfg)
 	rep, err := cl.Run()
 	if err != nil {
-		t.Fatalf("workers=%d: replicated cluster run failed: %v", workers, err)
+		t.Fatalf("replicated cluster run failed: %v", err)
 	}
 	if verr := cl.Verify(); verr != nil {
-		t.Fatalf("workers=%d: pool audit failed: %v", workers, verr)
+		t.Fatalf("pool audit failed: %v", verr)
 	}
 	if rep.Adopted == 0 {
-		t.Fatalf("workers=%d: failover never adopted a replica: %+v", workers, rep)
+		t.Fatalf("failover never adopted a replica: %+v", rep)
 	}
 	if rep.ReexecutedBlocks != 0 {
-		t.Fatalf("workers=%d: replicated failover re-executed %d blocks", workers, rep.ReexecutedBlocks)
+		t.Fatalf("replicated failover re-executed %d blocks", rep.ReexecutedBlocks)
 	}
 	js, jerr := json.Marshal(rep)
 	if jerr != nil {
@@ -466,46 +447,42 @@ func runReplicatedCluster(t *testing.T, workers int) replicatedRun {
 // TestParallelDeterminismReplicatedCluster drives a 3-device cluster
 // with R=2 replicated placement through a fail-stop — replica fan-out
 // inside the shared-clock loop, quorum harvest, freshness judging,
-// zero-re-execution adoption, online rebalance — under both engine
-// widths and asserts byte-identical reports and pool images.
+// zero-re-execution adoption, online rebalance — twice and asserts
+// byte-identical reports and pool images.
 func TestParallelDeterminismReplicatedCluster(t *testing.T) {
-	serial := runReplicatedCluster(t, 1)
-	parallel := runReplicatedCluster(t, detWorkers)
-	if !bytes.Equal(serial.report, parallel.report) {
-		t.Errorf("replicated cluster reports diverged\nserial:   %s\nparallel: %s",
-			serial.report, parallel.report)
+	first := runReplicatedCluster(t)
+	second := runReplicatedCluster(t)
+	if !bytes.Equal(first.report, second.report) {
+		t.Errorf("replicated cluster reports diverged\nfirst:  %s\nsecond: %s",
+			first.report, second.report)
 	}
-	if !bytes.Equal(serial.pool, parallel.pool) {
-		t.Errorf("replicated cluster NVM images diverged between engines")
+	if !bytes.Equal(first.pool, second.pool) {
+		t.Errorf("replicated cluster NVM images diverged between runs")
 	}
 }
 
 // TestParallelDeterminismReplicaCampaign runs a reduced replicated
-// failover campaign under both gpusim engine widths and both host
-// fan-out widths, comparing the full structured reports — the
-// acceptance pin for the -replicas campaign's determinism contract.
+// failover campaign at host fan-out 1 and 8, comparing the full
+// structured reports — the acceptance pin for the -replicas
+// campaign's determinism contract.
 func TestParallelDeterminismReplicaCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replica campaign smoke test skipped in -short mode")
 	}
-	run := func(workers, hostPar int) *faultsim.ReplicaReport {
+	run := func(hostPar int) *faultsim.ReplicaReport {
 		c := faultsim.DefaultReplicaCampaign(2)
 		c.Devices = 3
 		c.Jobs = 4
 		c.BlocksPerJob = 2
 		c.BlockThreads = 32
-		c.Opt.Dev.Workers = workers
 		c.Parallel = hostPar
 		rep, err := c.Run()
 		if err != nil {
-			t.Fatalf("workers=%d parallel=%d: replica campaign failed: %v", workers, hostPar, err)
+			t.Fatalf("parallel=%d: replica campaign failed: %v", hostPar, err)
 		}
 		return rep
 	}
-	base := run(1, 1)
-	for _, alt := range []*faultsim.ReplicaReport{run(detWorkers, 1), run(1, 8), run(detWorkers, 8)} {
-		if !reflect.DeepEqual(base, alt) {
-			t.Errorf("replica campaign reports diverged\nbase: %+v\nalt:  %+v", base, alt)
-		}
+	if base, alt := run(1), run(8); !reflect.DeepEqual(base, alt) {
+		t.Errorf("replica campaign reports diverged\nparallel 1: %+v\nparallel 8: %+v", base, alt)
 	}
 }

@@ -3,11 +3,12 @@
 // order-sensitive sinks without an intervening sort.
 //
 // The runtime counterpart is the root determinism suite: every report,
-// durable image, and campaign summary must be bit-identical at Workers=1
-// and Workers=8, across GOMAXPROCS. The three ways code breaks that
-// contract in practice are reading the clock, consulting the global
-// math/rand source, and letting Go's randomized map iteration order leak
-// into output or durable writes. All three are detectable statically.
+// durable image, and campaign summary must be bit-identical when the same
+// configuration runs twice, at any host fan-out and across GOMAXPROCS.
+// The three ways code breaks that contract in practice are reading the
+// clock, consulting the global math/rand source, and letting Go's
+// randomized map iteration order leak into output or durable writes. All
+// three are detectable statically.
 package determinism
 
 import (

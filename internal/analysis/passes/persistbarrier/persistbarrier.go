@@ -6,9 +6,10 @@
 //
 //  1. Inside memsim itself: a direct assignment or copy into the
 //     Memory.nvm backing array. Every durable mutation must route
-//     through mutateNVM/mutateNVMLine so an active copy-on-write
-//     snapshot preserves the pre-mutation bytes; a raw write silently
-//     corrupts the frozen view every parallel worker is reading.
+//     through mutateNVM, the one durable mutator. Its callers emit the
+//     matching persist event, which the persist observer (persistcheck's
+//     oracle) and the media model follow; a raw write changes the image
+//     behind their backs.
 //
 //  2. Anywhere: mutating the byte slice returned by (*Memory).Load. That
 //     slice aliases live cache-line storage — writing through it changes
@@ -32,19 +33,15 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "persistbarrier",
 	Doc: "durable writes must go through the Store/HostWrite barrier API: " +
-		"flag raw memsim.nvm writes outside the snapshot-safe mutators and " +
+		"flag raw memsim.nvm writes outside mutateNVM and " +
 		"mutation of cache-aliasing Load results",
 	Run: run,
 }
 
-// nvmMutators are the memsim functions allowed to write m.nvm raw: the
-// two snapshot-aware mutators, plus the growth/alloc paths that only
-// ever append fresh zero lines (never overwrite live durable bytes).
-var nvmMutators = map[string]bool{
-	"mutateNVM":     true,
-	"mutateNVMLine": true,
-	"ensureNVM":     true,
-}
+// durableMutator is the one memsim function allowed to write m.nvm raw.
+// Growth replaces the whole slice (m.nvm = append(...)), which never
+// overwrites live durable bytes and is not a write this pass flags.
+const durableMutator = "mutateNVM"
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -63,7 +60,7 @@ func run(pass *analysis.Pass) error {
 // --- shape 1: raw writes to Memory.nvm ---
 
 func checkRawNVM(pass *analysis.Pass, fd *ast.FuncDecl) {
-	if nvmMutators[fd.Name.Name] {
+	if fd.Name.Name == durableMutator {
 		return
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -72,20 +69,20 @@ func checkRawNVM(pass *analysis.Pass, fd *ast.FuncDecl) {
 			for _, lhs := range n.Lhs {
 				if base := indexedNVM(pass, lhs); base != nil {
 					pass.Reportf(lhs.Pos(),
-						"raw write to Memory.nvm bypasses the snapshot-safe mutators: route through mutateNVM/mutateNVMLine")
+						"raw write to Memory.nvm bypasses the durable mutator: route through mutateNVM")
 				}
 			}
 		case *ast.IncDecStmt:
 			if base := indexedNVM(pass, n.X); base != nil {
 				pass.Reportf(n.X.Pos(),
-					"raw write to Memory.nvm bypasses the snapshot-safe mutators: route through mutateNVM/mutateNVMLine")
+					"raw write to Memory.nvm bypasses the durable mutator: route through mutateNVM")
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "copy" && len(n.Args) == 2 {
 				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "copy" {
 					if isNVMSelector(pass, n.Args[0]) {
 						pass.Reportf(n.Args[0].Pos(),
-							"copy into Memory.nvm bypasses the snapshot-safe mutators: route through mutateNVM/mutateNVMLine")
+							"copy into Memory.nvm bypasses the durable mutator: route through mutateNVM")
 					}
 				}
 			}
@@ -126,9 +123,6 @@ func isNVMSelector(pass *analysis.Pass, e ast.Expr) bool {
 	if pkg == nil || pkg.Name() != "memsim" {
 		return false
 	}
-	// The field must belong to the Memory struct (Snapshot also has an
-	// nvm field — its frozen array must never be written either, so both
-	// owners count).
 	return true
 }
 

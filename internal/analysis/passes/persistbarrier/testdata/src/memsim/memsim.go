@@ -1,6 +1,6 @@
 // Fixture for the persistbarrier analyzer's raw-nvm shape: a miniature
-// of the real memsim internals. Only the snapshot-safe mutators may
-// touch the nvm backing array directly.
+// of the real memsim internals. Only the durable mutator, mutateNVM, may
+// write into the nvm backing array directly.
 package memsim
 
 type Memory struct {
@@ -11,11 +11,7 @@ func (m *Memory) mutateNVM(addr uint64, buf []byte) {
 	copy(m.nvm[addr:], buf) // the mutator itself: allowed
 }
 
-func (m *Memory) mutateNVMLine(lineAddr uint64, data []byte) {
-	copy(m.nvm[lineAddr:lineAddr+128], data) // allowed
-}
-
-func (m *Memory) ensureNVM(end int) {
+func (m *Memory) growNVM(end int) {
 	if end > len(m.nvm) {
 		grown := make([]byte, end)
 		copy(grown, m.nvm) // nvm as source: fine

@@ -9,7 +9,8 @@
 // collapses to one trajectory while the reports keep claiming seeded
 // breadth. Package-level RNGs are worse: they thread hidden state across
 // callers, so two identically-seeded runs diverge the moment call order
-// changes (exactly what the Workers=1-vs-8 contract forbids).
+// changes (exactly what the determinism contract forbids: a campaign's
+// report must not depend on its host fan-out).
 package seedplumb
 
 import (

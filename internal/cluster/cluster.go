@@ -38,9 +38,8 @@
 // the duration of each copy.
 //
 // Everything is deterministic: the same Config produces a bit-identical
-// report and pool image at any gpusim Workers value and any host
-// GOMAXPROCS — the repo's determinism contract extends to whole-cluster
-// failover.
+// report and pool image on every run and at any host GOMAXPROCS — the
+// repo's determinism contract extends to whole-cluster failover.
 package cluster
 
 import (
@@ -264,7 +263,7 @@ type DeviceReport struct {
 }
 
 // Report summarizes one cluster run. It is a pure function of the
-// Config — bit-identical at any Workers or GOMAXPROCS.
+// Config — bit-identical on every run and at any GOMAXPROCS.
 type Report struct {
 	Devices   int        `json:"devices"`
 	Jobs      int        `json:"jobs"`

@@ -80,7 +80,7 @@ func (k *PlacerKind) UnmarshalJSON(b []byte) error {
 // whose primary launch landed on primary, from the candidate devices
 // (non-empty, ascending ID, primary excluded). Implementations must be
 // deterministic functions of their inputs — the cluster's
-// bit-identical-at-any-Workers contract extends to placement.
+// determinism contract extends to placement.
 type Placer interface {
 	Name() string
 	Replicas(job, owner, primary, n int, candidates []DeviceView) []int

@@ -97,7 +97,7 @@ type DeviceView struct {
 // candidate devices (non-empty, ascending ID) for a job whose shard
 // owner is owner, returning the chosen device's ID. Implementations must
 // be deterministic functions of their inputs and internal state — the
-// cluster's bit-identical-at-any-Workers contract extends to routing.
+// cluster's determinism contract extends to routing.
 type Router interface {
 	Name() string
 	Pick(job, owner int, candidates []DeviceView) int

@@ -23,9 +23,8 @@ func (lp *LP) Instrument(kernel gpusim.KernelFunc, protected ...memsim.Region) g
 	}
 	return func(b *gpusim.Block) {
 		r := lp.Begin(b)
-		// The hook is installed per block (not on the device): with
-		// Config.Workers > 1 several blocks run concurrently, each folding
-		// stores into its own region.
+		// The hook is installed per block (not on the device), so it
+		// folds only this block's stores into this block's region.
 		prev := b.SetStoreHook(func(t *gpusim.Thread, reg memsim.Region, elemIdx int, bits uint32) {
 			for _, p := range protected {
 				if p.Base == reg.Base {

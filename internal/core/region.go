@@ -37,10 +37,9 @@ const (
 //
 // The per-thread accumulators are the block's shared arrays sharedMod and
 // sharedPar, zeroed at the block's first request. Shared arrays belong to
-// one block, so blocks that fold checksums concurrently (Config.Workers >
-// 1) never share accumulators. For the same reason a block holds at most
-// one open LP region: a second Begin in the same block would fold into
-// the first region's accumulators.
+// one block, so no block folds into another block's accumulators. For the
+// same reason a block holds at most one open LP region: a second Begin in
+// the same block would fold into the first region's accumulators.
 func (lp *LP) Begin(b *gpusim.Block) *Region {
 	if lp == nil {
 		return nil

@@ -308,8 +308,8 @@ func (h *healState) repairSelected(name string, blks []int) (bool, error) {
 // ratio) when the surviving regions validate but some were quarantined;
 // and an error wrapping ErrUnrecoverable when even the surviving regions
 // cannot be repaired. The whole procedure consults only simulated state,
-// so its result — including the quarantine set — is bit-identical across
-// gpusim Workers settings.
+// so its result — including the quarantine set — is bit-identical from
+// run to run.
 func (lp *LP) SelfHeal(kernel gpusim.KernelFunc, recompute RecomputeFunc, opts HealOpts) (HealReport, error) {
 	opts = opts.withDefaults()
 	rep := HealReport{Coverage: 1}

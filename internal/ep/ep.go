@@ -91,8 +91,8 @@ func (e *EP) Wrap(kernel gpusim.KernelFunc, protected ...memsim.Region) gpusim.K
 		}
 		segBase := b.LinearIdx * e.perBlock
 		n := 0
-		// Per-block hook: blocks may execute concurrently (Workers > 1),
-		// and each block logs into its own segment with its own counter.
+		// Per-block hook: each block logs into its own segment with its
+		// own counter, and the hook never outlives the block.
 		prev := b.SetStoreHook(func(t *gpusim.Thread, reg memsim.Region, elemIdx int, bits uint32) {
 			tracked := false
 			for _, p := range protected {

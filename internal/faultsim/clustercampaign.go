@@ -5,7 +5,7 @@
 // degrade honestly to the typed cluster error. The sweep covers device
 // count × failure kind × failure time (seed-derived) × router; every
 // case is seeded from its sweep position, so the report is bit-identical
-// at any Parallel width and any gpusim Workers value.
+// at any Parallel width.
 package faultsim
 
 import (

@@ -8,7 +8,7 @@
 // adoption. Either way the shared durable pool must come out bit-exact.
 // The sweep covers replication factor × failure kind × placer × model;
 // every case is seeded from its sweep position, so the report is
-// bit-identical at any Parallel width and any gpusim Workers value.
+// bit-identical at any Parallel width.
 package faultsim
 
 import (

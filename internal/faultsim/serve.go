@@ -7,7 +7,7 @@
 // same launch (the instant both runs have served identical requests),
 // the admission ledger must hold to the end of the run, and nothing may
 // panic. Cases are seeded from their sweep position, so the report is
-// bit-identical at any Parallel width and any gpusim Workers value.
+// bit-identical at any Parallel width.
 package faultsim
 
 import (

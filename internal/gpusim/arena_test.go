@@ -8,7 +8,7 @@ import (
 	"gpulp/internal/memsim"
 )
 
-// TestSharedArraysZeroedPerBlock: the serial engine reuses one Block, and
+// TestSharedArraysZeroedPerBlock: the device reuses one Block, and
 // its shared arrays with it, but every block must still find its arrays
 // zeroed, in every launch.
 func TestSharedArraysZeroedPerBlock(t *testing.T) {
@@ -78,28 +78,42 @@ func TestSharedArraySizeRules(t *testing.T) {
 	})
 }
 
-// TestBlockStateNotCarried: per-block state set in block k — a store hook,
-// a staged value — is gone in block k+1, even though the serial engine
-// runs both in the same Block.
+// TestBlockStateNotCarried: a store hook set in block k is gone in block
+// k+1, even though the device runs both in the same Block — also when a
+// watchdog abort unwinds block k before it can restore the previous hook.
 func TestBlockStateNotCarried(t *testing.T) {
 	d := testDevice()
 	out := d.Alloc("out", 4*64*4)
 	hooked := map[int]int{} // block -> hooked stores
-	created := 0
+	hook := func(th *Thread, r memsim.Region, idx int, bits uint32) {
+		hooked[th.Block().LinearIdx]++
+	}
 	d.Launch("hooks", D1(4), D1(64), func(b *Block) {
 		if b.LinearIdx == 1 {
-			b.SetStoreHook(func(th *Thread, r memsim.Region, idx int, bits uint32) {
-				hooked[th.Block().LinearIdx]++
-			})
+			b.SetStoreHook(hook)
 		}
-		b.Staged("counter", func() any { created++; return new(int) })
 		b.ForAll(func(th *Thread) { th.StoreU32(out, th.GlobalLinear(), 1) })
 	})
 	if !reflect.DeepEqual(hooked, map[int]int{1: 64}) {
 		t.Fatalf("hooked stores per block = %v, want only block 1's 64", hooked)
 	}
-	if created != 4 {
-		t.Fatalf("Staged created %d values over 4 blocks, want one per block", created)
+
+	dev, _ := wdDevice(t, 1000)
+	out = dev.Alloc("out", 4*64*4)
+	res := dev.Launch("hung", D1(2), D1(64), func(b *Block) {
+		prev := b.SetStoreHook(hook)
+		b.ForAll(func(th *Thread) { th.Op(2000) })
+		b.SetStoreHook(prev)
+	})
+	if res.Watchdog == nil {
+		t.Fatalf("hung launch not aborted: %+v", res)
+	}
+	clear(hooked)
+	dev.Launch("after", D1(4), D1(64), func(b *Block) {
+		b.ForAll(func(th *Thread) { th.StoreU32(out, th.GlobalLinear(), 1) })
+	})
+	if len(hooked) != 0 {
+		t.Fatalf("a hook left behind by the aborted block saw stores %v", hooked)
 	}
 }
 

@@ -19,7 +19,7 @@ type Block struct {
 	cycles    int64 // cycles accumulated so far within the block
 
 	// shared holds the block's shared-memory arrays by name. gen is the
-	// block generation: the serial engine reuses one Block and bumps gen
+	// block generation: the device reuses one Block and bumps gen
 	// for every block it dispatches, and an array is zeroed on its first
 	// use in a new generation (see sharedArray).
 	shared map[string]*sharedEntry
@@ -32,18 +32,8 @@ type Block struct {
 	totAtomicStall int64
 
 	// storeHook, when set, observes this block's data stores; it shadows
-	// the device-level hook. Per-block hooks are the concurrency-safe way
-	// for wrappers (core.Instrument, ep.Wrap) to instrument stores: a
-	// device-level hook installed from inside a kernel would race when
-	// blocks run on the worker pool.
+	// the device-level hook (see SetStoreHook).
 	storeHook StoreHook
-
-	// spec is non-nil while the block executes speculatively on a worker
-	// (see spec.go); onCommit and staged hold side effects deferred to the
-	// block's dispatch-order commit.
-	spec     *specState
-	onCommit []func()
-	staged   map[any]any
 
 	thread Thread // reused across iterations to avoid allocation
 }
@@ -62,48 +52,16 @@ func (b *Block) Cycles() int64 { return b.cycles }
 
 // SetStoreHook installs a per-block store hook, returning the previous
 // one. The block hook shadows the device-level hook for this block's
-// stores. Kernel wrappers must use this (not Device.SetStoreHook) so
-// instrumentation stays correct when blocks execute concurrently.
+// stores, and it lasts at most as long as the block: kernel wrappers
+// (core.Instrument, ep.Wrap, the sbrp and strict models) use it rather
+// than Device.SetStoreHook so that their hook can never observe another
+// block's stores. They restore the previous hook without defer; if a
+// watchdog abort unwinds the kernel first, the device's reset of the
+// block for its next dispatch clears the hook all the same.
 func (b *Block) SetStoreHook(h StoreHook) StoreHook {
 	prev := b.storeHook
 	b.storeHook = h
 	return prev
-}
-
-// Speculative reports whether the block is currently executing
-// speculatively on a worker (Config.Workers > 1). Host-side bookkeeping
-// that must not run twice — or must not run concurrently — should be
-// deferred with OnCommit or staged with Staged when this is true.
-func (b *Block) Speculative() bool { return b.spec != nil }
-
-// OnCommit runs fn now when executing directly, or queues it to run at
-// the block's dispatch-order commit when executing speculatively. Queued
-// functions run on the committer goroutine, in registration order, only
-// if the speculative trace validates; a re-executed block discards them
-// (the direct re-execution runs its own OnCommit calls immediately).
-func (b *Block) OnCommit(fn func()) {
-	if b.spec != nil {
-		b.onCommit = append(b.onCommit, fn)
-		return
-	}
-	fn()
-}
-
-// Staged returns a per-block staging value for key, calling create on
-// first use. It gives kernel-adjacent host code (e.g. hash-table
-// statistics) a private accumulator while the block runs speculatively;
-// pair it with OnCommit to merge the staged value into shared state at
-// commit time.
-func (b *Block) Staged(key any, create func() any) any {
-	if v, ok := b.staged[key]; ok {
-		return v
-	}
-	if b.staged == nil {
-		b.staged = map[any]any{}
-	}
-	v := create()
-	b.staged[key] = v
-	return v
 }
 
 // sharedEntry is one named shared-memory array of a block: a []float32,
@@ -113,7 +71,7 @@ type sharedEntry struct {
 	arr any
 }
 
-// reset readies the serial engine's reused block for its next dispatch.
+// reset readies the device's reused block for its next dispatch.
 // Every field starts from its zero value, as in a fresh Block, except
 // the storage that outlives one block: the shared arrays, which the new
 // generation re-zeroes on first use, and the events buffer.
@@ -180,17 +138,13 @@ func (b *Block) SharedI32(name string, n int) []int32 { return sharedArray[int32
 // fused phase models, e.g. between warp-partial staging and the final
 // reduce).
 func (b *Block) Barrier() {
-	if s := b.spec; s != nil {
-		s.phases = append(s.phases, phaseRec{barrierOnly: true})
-		return
-	}
 	b.cycles += b.barrierCost()
 }
 
 // barrierCost scales the __syncthreads charge with the number of warps
 // that must rendezvous: a one-warp block synchronizes almost for free.
 func (b *Block) barrierCost() int64 {
-	return barrierCostFor(b.dev.cfg, b.NumWarps())
+	return min(int64(4*b.NumWarps()), b.dev.cfg.BarrierCycles)
 }
 
 // ForAll executes fn once per thread of the block and then charges the
@@ -266,24 +220,15 @@ func (b *Block) WarpPhase(fn func(w *Warp)) {
 	b.endPhase(warpInstrs, l2, nvm, stall)
 }
 
+// endPhase charges one phase with the roofline model: the phase costs
+// the larger of its compute and its memory time, where memory time is the
+// larger of its L2 and NVM bytes over the SM's share of each bandwidth.
 func (b *Block) endPhase(warpInstrs, l2, nvm, stall int64) {
-	if s := b.spec; s != nil {
-		// Speculative: the phase's NVM traffic is unknowable here (it
-		// depends on cache state at the block's dispatch position), so only
-		// the cache-independent charge inputs are recorded; replaySpec
-		// recomputes nvm, the phase cost, and the totals at commit.
-		s.phases = append(s.phases, phaseRec{
-			warpInstrs: warpInstrs,
-			l2:         l2,
-			stall:      stall,
-			ops:        s.curOps,
-			events:     s.curEv,
-		})
-		s.curOps = nil
-		s.curEv = nil
-		return
-	}
-	b.cycles += phaseCost(b.dev.cfg, warpInstrs, l2, nvm) + stall + b.barrierCost()
+	cfg := &b.dev.cfg
+	compute := int64(float64(warpInstrs) / cfg.IssueWidth)
+	l2Cyc := int64(float64(l2) / (cfg.L2BytesPerCycle / float64(cfg.NumSMs)))
+	nvmCyc := int64(float64(nvm) / (cfg.NVMBytesPerCycle / float64(cfg.NumSMs)))
+	b.cycles += max(compute, l2Cyc, nvmCyc) + stall + b.barrierCost()
 
 	b.totWarpInstrs += warpInstrs
 	b.totL2Bytes += l2

@@ -68,13 +68,6 @@ type Config struct {
 	BlockDispatchCycles int64
 	// ClockGHz converts cycles to time for reporting.
 	ClockGHz float64
-	// Workers is the number of host worker goroutines executing thread
-	// blocks speculatively during the functional pass. Values <= 1 select
-	// the serial engine. Any value produces bit-identical results — the
-	// commit loop validates and replays speculative blocks in dispatch
-	// order (see spec.go) — so Workers trades host CPU for wall-clock
-	// speed without perturbing the simulation.
-	Workers int
 	// WatchdogSteps arms the kernel watchdog: a thread that charges more
 	// than this many instructions within one phase is presumed hung (e.g.
 	// a spin lock whose memory word is pinned by a stuck-at media fault)
@@ -82,7 +75,7 @@ type Config struct {
 	// consistent crash image, instead of livelocking the simulator. The
 	// budget is counted in charged steps of the deterministic functional
 	// pass — a simulated clock, never wall time — so an abort is
-	// bit-identical across Workers settings. 0 disables the watchdog.
+	// bit-identical from run to run. 0 disables the watchdog.
 	WatchdogSteps int64
 }
 

@@ -28,8 +28,7 @@ type Device struct {
 	id    int
 	label string
 	// launchName is the name of the launch in flight, read by the watchdog
-	// when it aborts. Written once per launch before any worker goroutine
-	// starts, so concurrent reads during the functional pass are safe.
+	// when it aborts and by heartbeats.
 	launchName string
 
 	// Launch scratch, reused from one launch to the next so that a warm
@@ -40,7 +39,7 @@ type Device struct {
 	order    []int   // 0, 1, 2, …: a full-grid launch dispatches a prefix
 	recs     []blockRec
 	events   []opEvent // flat event arena; recs[i].events are sub-slices
-	block    Block     // the serial engine's block, reset per dispatch
+	block    Block     // the one block every dispatch runs in, reset each time
 	sched    schedScratch
 }
 
@@ -59,10 +58,9 @@ type Heartbeat struct {
 	Cycle int64
 }
 
-// HeartbeatFunc observes launch heartbeats. It runs on the commit path —
-// after each block retires, at the identical point in the serial and
-// parallel engines — so it must not mutate device memory; calling
-// RequestAbort from inside it is the intended use.
+// HeartbeatFunc observes launch heartbeats. It runs after each block
+// retires, before crash triggers are evaluated, so it must not mutate
+// device memory; calling RequestAbort from inside it is the intended use.
 type HeartbeatFunc func(hb Heartbeat)
 
 // SetHeartbeat installs fn (nil to remove) and returns the previous one.
@@ -263,13 +261,7 @@ func (d *Device) launch(name string, grid, block Dim3, kernel KernelFunc, select
 	// Pass 1: functional execution in dispatch order, with a zero-queueing
 	// greedy schedule providing approximate absolute times (used only by
 	// RacyTouch race windows). Each retired block is recorded in d.recs.
-	// With Workers > 1, blocks execute speculatively on a host pool and are
-	// committed in dispatch order, producing bit-identical recs.
-	if d.cfg.Workers > 1 && len(order) > 1 {
-		d.runBlocksParallel(grid, block, kernel, order, slots, &res)
-	} else {
-		d.runBlocksSerial(grid, block, kernel, order, slots, &res)
-	}
+	d.runBlocks(grid, block, kernel, order, slots, &res)
 	res.Blocks = len(d.recs)
 
 	// Pass 2: fixed-point timing with queueing delays.
@@ -303,10 +295,9 @@ func (d *Device) retire(b *Block, res *LaunchResult) {
 	res.AtomicStallCycles += b.totAtomicStall
 }
 
-// runBlocksSerial executes blocks one at a time in dispatch order — the
-// reference engine every parallel run must match bit-for-bit. Every block
+// runBlocks executes blocks one at a time in dispatch order. Every block
 // runs in the device's one reused Block.
-func (d *Device) runBlocksSerial(grid, block Dim3, kernel KernelFunc, order []int, slots []int64, res *LaunchResult) {
+func (d *Device) runBlocks(grid, block Dim3, kernel KernelFunc, order []int, slots []int64, res *LaunchResult) {
 	b := &d.block
 	for orderIdx, lin := range order {
 		// Earliest-free slot.

@@ -60,7 +60,7 @@ func (e *WatchdogError) Error() string {
 func (e *WatchdogError) Unwrap() error { return ErrWatchdog }
 
 // watchdogAbort is the panic payload that unwinds a hung kernel out of
-// the functional pass; the engines recover it and convert it into a
+// the functional pass; runBlockGuarded recovers it and converts it into a
 // LaunchResult.Watchdog abort.
 type watchdogAbort struct{ err *WatchdogError }
 

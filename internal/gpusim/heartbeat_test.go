@@ -7,11 +7,10 @@ import (
 	"gpulp/internal/memsim"
 )
 
-func heartbeatDevice(workers int) *Device {
+func heartbeatDevice() *Device {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 4
 	cfg.MaxBlocksPerSM = 2
-	cfg.Workers = workers
 	mem := memsim.MustNew(memsim.Config{
 		LineSize: 128, CacheBytes: 1 << 20, Ways: 8,
 		NVMReadNS: 160, NVMWriteNS: 480, NVMBandwidthGBs: 326.4,
@@ -29,43 +28,42 @@ func fillKernel(out memsim.Region) KernelFunc {
 
 // TestHeartbeatStream: every retired block emits one heartbeat carrying
 // the device identity, launch name, retired count, and a monotonic cycle
-// stamp — identically in the serial and parallel engines.
+// stamp — identically when the launch runs again on a fresh device.
 func TestHeartbeatStream(t *testing.T) {
-	collect := func(workers int) []Heartbeat {
-		d := heartbeatDevice(workers)
+	collect := func() []Heartbeat {
+		d := heartbeatDevice()
 		d.SetIdentity(7, "gpu7")
 		out := d.Alloc("out", 1024*4)
 		var hbs []Heartbeat
 		d.SetHeartbeat(func(hb Heartbeat) { hbs = append(hbs, hb) })
 		res := d.Launch("work", D1(8), D1(128), fillKernel(out))
 		if res.Interrupted {
-			t.Fatalf("workers=%d: clean launch interrupted", workers)
+			t.Fatalf("clean launch interrupted: %+v", res)
 		}
 		return hbs
 	}
 
-	serial := collect(1)
-	if len(serial) != 8 {
-		t.Fatalf("8-block launch emitted %d heartbeats, want 8", len(serial))
+	first := collect()
+	if len(first) != 8 {
+		t.Fatalf("8-block launch emitted %d heartbeats, want 8", len(first))
 	}
-	for i, hb := range serial {
+	for i, hb := range first {
 		if hb.Device != 7 || hb.Launch != "work" {
 			t.Fatalf("heartbeat %d misidentified: %+v", i, hb)
 		}
 		if hb.Blocks != i+1 {
 			t.Fatalf("heartbeat %d reports %d retired blocks, want %d", i, hb.Blocks, i+1)
 		}
-		if i > 0 && hb.Cycle < serial[i-1].Cycle {
-			t.Fatalf("heartbeat cycles regressed: %d after %d", hb.Cycle, serial[i-1].Cycle)
+		if i > 0 && hb.Cycle < first[i-1].Cycle {
+			t.Fatalf("heartbeat cycles regressed: %d after %d", hb.Cycle, first[i-1].Cycle)
 		}
 	}
-	parallel := collect(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("heartbeat streams diverge between engines:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	if second := collect(); !reflect.DeepEqual(first, second) {
+		t.Fatalf("heartbeat streams diverge between runs:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 
 	// SetHeartbeat returns the previous hook and nil detaches.
-	d := heartbeatDevice(1)
+	d := heartbeatDevice()
 	prev := d.SetHeartbeat(func(Heartbeat) {})
 	if prev != nil {
 		t.Fatal("fresh device had a heartbeat hook")
@@ -77,37 +75,35 @@ func TestHeartbeatStream(t *testing.T) {
 
 // TestRequestAbort: an externally-requested abort stops the launch at the
 // next block boundary and leaves a crash-consistent image (cache dropped,
-// retired blocks' NVM state preserved), in both engines.
+// retired blocks' NVM state preserved).
 func TestRequestAbort(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		d := heartbeatDevice(workers)
-		out := d.Alloc("out", 1024*4)
-		d.SetHeartbeat(func(hb Heartbeat) {
-			if hb.Blocks == 2 {
-				d.RequestAbort()
-			}
-		})
-		res := d.Launch("work", D1(8), D1(128), fillKernel(out))
-		if !res.Interrupted || !res.Aborted {
-			t.Fatalf("workers=%d: abort not honored: %+v", workers, res)
+	d := heartbeatDevice()
+	out := d.Alloc("out", 1024*4)
+	d.SetHeartbeat(func(hb Heartbeat) {
+		if hb.Blocks == 2 {
+			d.RequestAbort()
 		}
-		if res.Blocks != 2 {
-			t.Fatalf("workers=%d: aborted after %d blocks, want 2", workers, res.Blocks)
-		}
-		// The cache was dropped: only what had been written back survives.
-		// Un-launched blocks certainly never wrote.
-		img := d.Mem().NVMImage()
-		addr := out.Base + uint64((7*128+5)*4)
-		if got := memsim.ImageU32(img, addr); got != 0 {
-			t.Fatalf("workers=%d: block 7 wrote %d after the abort", workers, got)
-		}
+	})
+	res := d.Launch("work", D1(8), D1(128), fillKernel(out))
+	if !res.Interrupted || !res.Aborted {
+		t.Fatalf("abort not honored: %+v", res)
+	}
+	if res.Blocks != 2 {
+		t.Fatalf("aborted after %d blocks, want 2", res.Blocks)
+	}
+	// The cache was dropped: only what had been written back survives.
+	// Un-launched blocks certainly never wrote.
+	img := d.Mem().NVMImage()
+	addr := out.Base + uint64((7*128+5)*4)
+	if got := memsim.ImageU32(img, addr); got != 0 {
+		t.Fatalf("block 7 wrote %d after the abort", got)
+	}
 
-		// The abort is one-shot: the next launch runs clean.
-		d.SetHeartbeat(nil)
-		res = d.Launch("work", D1(8), D1(128), fillKernel(out))
-		if res.Interrupted || res.Aborted || res.Blocks != 8 {
-			t.Fatalf("workers=%d: abort leaked into next launch: %+v", workers, res)
-		}
+	// The abort is one-shot: the next launch runs clean.
+	d.SetHeartbeat(nil)
+	res = d.Launch("work", D1(8), D1(128), fillKernel(out))
+	if res.Interrupted || res.Aborted || res.Blocks != 8 {
+		t.Fatalf("abort leaked into next launch: %+v", res)
 	}
 }
 
@@ -115,7 +111,7 @@ func TestRequestAbort(t *testing.T) {
 // a watchdog firing on a device that already finished) must not kill the
 // next launch.
 func TestRequestAbortStaleCleared(t *testing.T) {
-	d := heartbeatDevice(1)
+	d := heartbeatDevice()
 	out := d.Alloc("out", 1024*4)
 	d.RequestAbort()
 	res := d.Launch("work", D1(8), D1(128), fillKernel(out))
@@ -126,7 +122,7 @@ func TestRequestAbortStaleCleared(t *testing.T) {
 
 // TestDeviceIdentity covers the identity plumbing used by the cluster.
 func TestDeviceIdentity(t *testing.T) {
-	d := heartbeatDevice(1)
+	d := heartbeatDevice()
 	if d.ID() != 0 || d.Label() != "" {
 		t.Fatalf("fresh device identity = (%d, %q)", d.ID(), d.Label())
 	}

@@ -54,10 +54,9 @@ func (t *Thread) Op(n int) {
 // functional charge path calls it, so a spin loop — whose every
 // iteration charges at least one instruction — cannot livelock the
 // simulator: the abort unwinds as a watchdogAbort panic that the
-// engines convert into a typed LaunchResult.Watchdog. The count is part
+// launch converts into a typed LaunchResult.Watchdog. The count is part
 // of the deterministic functional pass, so the abort point is
-// bit-identical across Workers settings (a speculative trip is absorbed
-// into re-execution, where it re-trips at the same charged step).
+// bit-identical from run to run.
 func (t *Thread) wdCheck() {
 	budget := t.b.dev.cfg.WatchdogSteps
 	if budget > 0 && t.instrs > budget {
@@ -107,50 +106,10 @@ func (t *Thread) storeHook() StoreHook {
 	return t.b.dev.storeHook
 }
 
-// --- Speculative access path (Config.Workers > 1; see spec.go) ---
-
-// specLoad performs a load against the block's speculative view (snapshot
-// plus private overlay), traces it, and charges the cache-independent
-// costs. NVM traffic is charged later, at replay, from real access
-// results.
-func (t *Thread) specLoad(kind memsim.AccessKind, r memsim.Region, idx, size int) uint64 {
-	s := t.b.spec
-	addr := specAddr(r, idx, size)
-	var v uint64
-	if size == 4 {
-		v = uint64(s.read32(addr))
-	} else {
-		v = s.read64(addr)
-	}
-	s.curOps = append(s.curOps, specOp{op: opLoad, size: uint8(size), charged: true, kind: kind, addr: addr, val: v})
-	t.instrs++
-	t.l2Bytes += sectorBytes
-	t.wdCheck()
-	return v
-}
-
-// specStore applies a store to the block's private overlay and traces it.
-// charged is false for the functional store half of an atomic, which the
-// serial engine performs but never charges.
-func (t *Thread) specStore(kind memsim.AccessKind, r memsim.Region, idx, size int, v uint64, charged bool) {
-	s := t.b.spec
-	addr := specAddr(r, idx, size)
-	s.write(addr, size, v)
-	s.curOps = append(s.curOps, specOp{op: opStore, size: uint8(size), charged: charged, kind: kind, addr: addr, val: v})
-	if charged {
-		t.instrs++
-		t.l2Bytes += sectorBytes
-		t.wdCheck()
-	}
-}
-
 // --- Global memory: data accesses ---
 
 // LoadF32 loads element idx of r as kernel data.
 func (t *Thread) LoadF32(r memsim.Region, idx int) float32 {
-	if t.b.spec != nil {
-		return math.Float32frombits(uint32(t.specLoad(memsim.AccessData, r, idx, 4)))
-	}
 	v, res := r.LoadF32(memsim.AccessData, idx)
 	t.chargeAccess(res)
 	return v
@@ -158,12 +117,8 @@ func (t *Thread) LoadF32(r memsim.Region, idx int) float32 {
 
 // StoreF32 stores v to element idx of r as kernel data.
 func (t *Thread) StoreF32(r memsim.Region, idx int, v float32) {
-	if t.b.spec != nil {
-		t.specStore(memsim.AccessData, r, idx, 4, uint64(math.Float32bits(v)), true)
-	} else {
-		res := r.StoreF32(memsim.AccessData, idx, v)
-		t.chargeAccess(res)
-	}
+	res := r.StoreF32(memsim.AccessData, idx, v)
+	t.chargeAccess(res)
 	if h := t.storeHook(); h != nil {
 		h(t, r, idx, checksumBitsF32(v))
 	}
@@ -171,9 +126,6 @@ func (t *Thread) StoreF32(r memsim.Region, idx int, v float32) {
 
 // LoadI32 loads element idx of r as kernel data.
 func (t *Thread) LoadI32(r memsim.Region, idx int) int32 {
-	if t.b.spec != nil {
-		return int32(uint32(t.specLoad(memsim.AccessData, r, idx, 4)))
-	}
 	v, res := r.LoadI32(memsim.AccessData, idx)
 	t.chargeAccess(res)
 	return v
@@ -181,12 +133,8 @@ func (t *Thread) LoadI32(r memsim.Region, idx int) int32 {
 
 // StoreI32 stores v to element idx of r as kernel data.
 func (t *Thread) StoreI32(r memsim.Region, idx int, v int32) {
-	if t.b.spec != nil {
-		t.specStore(memsim.AccessData, r, idx, 4, uint64(uint32(v)), true)
-	} else {
-		res := r.StoreI32(memsim.AccessData, idx, v)
-		t.chargeAccess(res)
-	}
+	res := r.StoreI32(memsim.AccessData, idx, v)
+	t.chargeAccess(res)
 	if h := t.storeHook(); h != nil {
 		h(t, r, idx, uint32(v))
 	}
@@ -194,9 +142,6 @@ func (t *Thread) StoreI32(r memsim.Region, idx int, v int32) {
 
 // LoadU32 loads element idx of r as kernel data.
 func (t *Thread) LoadU32(r memsim.Region, idx int) uint32 {
-	if t.b.spec != nil {
-		return uint32(t.specLoad(memsim.AccessData, r, idx, 4))
-	}
 	v, res := r.LoadU32(memsim.AccessData, idx)
 	t.chargeAccess(res)
 	return v
@@ -204,12 +149,8 @@ func (t *Thread) LoadU32(r memsim.Region, idx int) uint32 {
 
 // StoreU32 stores v to element idx of r as kernel data.
 func (t *Thread) StoreU32(r memsim.Region, idx int, v uint32) {
-	if t.b.spec != nil {
-		t.specStore(memsim.AccessData, r, idx, 4, uint64(v), true)
-	} else {
-		res := r.StoreU32(memsim.AccessData, idx, v)
-		t.chargeAccess(res)
-	}
+	res := r.StoreU32(memsim.AccessData, idx, v)
+	t.chargeAccess(res)
 	if h := t.storeHook(); h != nil {
 		h(t, r, idx, v)
 	}
@@ -217,9 +158,6 @@ func (t *Thread) StoreU32(r memsim.Region, idx int, v uint32) {
 
 // LoadU64 loads element idx of r as kernel data.
 func (t *Thread) LoadU64(r memsim.Region, idx int) uint64 {
-	if t.b.spec != nil {
-		return t.specLoad(memsim.AccessData, r, idx, 8)
-	}
 	v, res := r.LoadU64(memsim.AccessData, idx)
 	t.chargeAccess(res)
 	return v
@@ -229,12 +167,8 @@ func (t *Thread) LoadU64(r memsim.Region, idx int) uint64 {
 // observes it as two 32-bit halves (low, then high), so directive-style
 // instrumentation covers 64-bit persistent stores too.
 func (t *Thread) StoreU64(r memsim.Region, idx int, v uint64) {
-	if t.b.spec != nil {
-		t.specStore(memsim.AccessData, r, idx, 8, v, true)
-	} else {
-		res := r.StoreU64(memsim.AccessData, idx, v)
-		t.chargeAccess(res)
-	}
+	res := r.StoreU64(memsim.AccessData, idx, v)
+	t.chargeAccess(res)
 	if h := t.storeHook(); h != nil {
 		h(t, r, idx*2, uint32(v))
 		h(t, r, idx*2+1, uint32(v>>32))
@@ -246,9 +180,6 @@ func (t *Thread) StoreU64(r memsim.Region, idx int, v uint64) {
 // LoadU64K / StoreU64K are like LoadU64/StoreU64 but tag the access (used
 // by the checksum table code so write amplification can be attributed).
 func (t *Thread) LoadU64K(kind memsim.AccessKind, r memsim.Region, idx int) uint64 {
-	if t.b.spec != nil {
-		return t.specLoad(kind, r, idx, 8)
-	}
 	v, res := r.LoadU64(kind, idx)
 	t.chargeAccess(res)
 	return v
@@ -256,10 +187,6 @@ func (t *Thread) LoadU64K(kind memsim.AccessKind, r memsim.Region, idx int) uint
 
 // StoreU64K stores a tagged uint64.
 func (t *Thread) StoreU64K(kind memsim.AccessKind, r memsim.Region, idx int, v uint64) {
-	if t.b.spec != nil {
-		t.specStore(kind, r, idx, 8, v, true)
-		return
-	}
 	res := r.StoreU64(kind, idx, v)
 	t.chargeAccess(res)
 }
@@ -272,13 +199,6 @@ func (t *Thread) StoreU64K(kind memsim.AccessKind, r memsim.Region, idx int, v u
 // for the Eager Persistency comparison baseline.
 func (t *Thread) FlushLine(r memsim.Region, byteOff int) {
 	t.instrs++
-	if s := t.b.spec; s != nil {
-		// Whether the flush writes back depends on cache state at the
-		// block's dispatch position; trace it and let replay perform the
-		// real FlushAddr (charging the line if it was dirty).
-		s.curOps = append(s.curOps, specOp{op: opFlush, addr: r.Base + uint64(byteOff)})
-		return
-	}
 	if t.b.dev.mem.FlushAddr(r.Base + uint64(byteOff)) {
 		t.nvmBytes += int64(t.b.dev.mem.LineSize())
 	}
@@ -299,10 +219,6 @@ func (t *Thread) PersistBarrier() {
 // launch by the global time-ordered sweep (see schedule.go).
 func (t *Thread) recordAtomic(r memsim.Region, byteOff int) {
 	addr := (r.Base + uint64(byteOff)) &^ (sectorBytes - 1)
-	if s := t.b.spec; s != nil {
-		s.curEv = append(s.curEv, specEvent{intra: t.instrs + t.atomicStall, addr: addr})
-		return
-	}
 	t.b.events = append(t.b.events, opEvent{
 		offset: t.b.cycles + t.instrs + t.atomicStall,
 		addr:   addr,
@@ -313,13 +229,6 @@ func (t *Thread) recordAtomic(r memsim.Region, byteOff int) {
 // returning the old value. Models CUDA atomicCAS on the L2.
 func (t *Thread) AtomicCASU64(r memsim.Region, idx int, compare, swap uint64) uint64 {
 	t.recordAtomic(r, idx*8)
-	if t.b.spec != nil {
-		old := t.specLoad(memsim.AccessAtomic, r, idx, 8)
-		if old == compare {
-			t.specStore(memsim.AccessAtomic, r, idx, 8, swap, false)
-		}
-		return old
-	}
 	old, res := r.LoadU64(memsim.AccessAtomic, idx)
 	if old == compare {
 		r.StoreU64(memsim.AccessAtomic, idx, swap)
@@ -332,11 +241,6 @@ func (t *Thread) AtomicCASU64(r memsim.Region, idx int, compare, swap uint64) ui
 // the old value. Models CUDA atomicExch.
 func (t *Thread) AtomicExchU64(r memsim.Region, idx int, v uint64) uint64 {
 	t.recordAtomic(r, idx*8)
-	if t.b.spec != nil {
-		old := t.specLoad(memsim.AccessAtomic, r, idx, 8)
-		t.specStore(memsim.AccessAtomic, r, idx, 8, v, false)
-		return old
-	}
 	old, res := r.LoadU64(memsim.AccessAtomic, idx)
 	r.StoreU64(memsim.AccessAtomic, idx, v)
 	t.chargeAccess(res)
@@ -347,11 +251,6 @@ func (t *Thread) AtomicExchU64(r memsim.Region, idx int, v uint64) uint64 {
 // value. Models CUDA atomicAdd on int.
 func (t *Thread) AtomicAddI32(r memsim.Region, idx int, v int32) int32 {
 	t.recordAtomic(r, idx*4)
-	if t.b.spec != nil {
-		old := int32(uint32(t.specLoad(memsim.AccessAtomic, r, idx, 4)))
-		t.specStore(memsim.AccessAtomic, r, idx, 4, uint64(uint32(old+v)), false)
-		return old
-	}
 	old, res := r.LoadI32(memsim.AccessAtomic, idx)
 	r.StoreI32(memsim.AccessAtomic, idx, old+v)
 	t.chargeAccess(res)
@@ -362,11 +261,6 @@ func (t *Thread) AtomicAddI32(r memsim.Region, idx int, v int32) int32 {
 // value. Models CUDA atomicAdd on float.
 func (t *Thread) AtomicAddF32(r memsim.Region, idx int, v float32) float32 {
 	t.recordAtomic(r, idx*4)
-	if t.b.spec != nil {
-		old := math.Float32frombits(uint32(t.specLoad(memsim.AccessAtomic, r, idx, 4)))
-		t.specStore(memsim.AccessAtomic, r, idx, 4, uint64(math.Float32bits(old+v)), false)
-		return old
-	}
 	old, res := r.LoadF32(memsim.AccessAtomic, idx)
 	r.StoreF32(memsim.AccessAtomic, idx, old+v)
 	t.chargeAccess(res)
@@ -377,11 +271,6 @@ func (t *Thread) AtomicAddF32(r memsim.Region, idx int, v float32) float32 {
 // value.
 func (t *Thread) AtomicAddU64(r memsim.Region, idx int, v uint64) uint64 {
 	t.recordAtomic(r, idx*8)
-	if t.b.spec != nil {
-		old := t.specLoad(memsim.AccessAtomic, r, idx, 8)
-		t.specStore(memsim.AccessAtomic, r, idx, 8, old+v, false)
-		return old
-	}
 	old, res := r.LoadU64(memsim.AccessAtomic, idx)
 	r.StoreU64(memsim.AccessAtomic, idx, old+v)
 	t.chargeAccess(res)
@@ -392,11 +281,6 @@ func (t *Thread) AtomicAddU64(r memsim.Region, idx int, v uint64) uint64 {
 // old value.
 func (t *Thread) AtomicXorU64(r memsim.Region, idx int, v uint64) uint64 {
 	t.recordAtomic(r, idx*8)
-	if t.b.spec != nil {
-		old := t.specLoad(memsim.AccessAtomic, r, idx, 8)
-		t.specStore(memsim.AccessAtomic, r, idx, 8, old^v, false)
-		return old
-	}
 	old, res := r.LoadU64(memsim.AccessAtomic, idx)
 	r.StoreU64(memsim.AccessAtomic, idx, old^v)
 	t.chargeAccess(res)
@@ -407,13 +291,6 @@ func (t *Thread) AtomicXorU64(r memsim.Region, idx int, v uint64) uint64 {
 // the old value.
 func (t *Thread) AtomicMinI32(r memsim.Region, idx int, v int32) int32 {
 	t.recordAtomic(r, idx*4)
-	if t.b.spec != nil {
-		old := int32(uint32(t.specLoad(memsim.AccessAtomic, r, idx, 4)))
-		if v < old {
-			t.specStore(memsim.AccessAtomic, r, idx, 4, uint64(uint32(v)), false)
-		}
-		return old
-	}
 	old, res := r.LoadI32(memsim.AccessAtomic, idx)
 	if v < old {
 		r.StoreI32(memsim.AccessAtomic, idx, v)
@@ -438,16 +315,7 @@ func (t *Thread) SerializeOn(r memsim.Region, byteOff int) {
 // simulator's deterministic model for the data races a check-then-act
 // insertion suffers when atomic instructions are removed (§IV-D.3): the
 // caller must treat a true result as a lost update and redo its work.
-//
-// The answer depends on what earlier blocks did to the shared timeline,
-// so it cannot be speculated: a speculative block that calls RacyTouch is
-// flagged for direct re-execution at its dispatch slot, where the serial
-// semantics apply untouched.
 func (t *Thread) RacyTouch(r memsim.Region, byteOff int, window int64) bool {
-	if s := t.b.spec; s != nil {
-		s.needReexec = true
-		return false
-	}
 	addr := (r.Base + uint64(byteOff)) &^ (sectorBytes - 1)
 	return t.b.dev.lines.touch(addr, t.now(), window, t.b.LinearIdx)
 }
@@ -460,15 +328,6 @@ func (t *Thread) RacyTouch(r memsim.Region, byteOff int, window int64) bool {
 func (t *Thread) LockAcquire(l *Lock) {
 	if t.lockHeld != nil {
 		panic(fmt.Sprintf("gpusim: thread %d acquiring %q while holding %q", t.Linear, l.name, t.lockHeld.name))
-	}
-	if s := t.b.spec; s != nil {
-		s.curEv = append(s.curEv, specEvent{intra: t.instrs + t.atomicStall, lock: l})
-		t.lockHeld = l
-		t.lockEventIdx = len(s.curEv) - 1
-		t.lockStartInstr = t.instrs
-		// l.acquisitions is bumped at commit (replaySpec), keeping the
-		// shared counter single-writer.
-		return
 	}
 	t.b.events = append(t.b.events, opEvent{
 		offset: t.b.cycles + t.instrs + t.atomicStall,
@@ -486,11 +345,6 @@ func (t *Thread) LockRelease(l *Lock) {
 	if t.lockHeld != l {
 		panic(fmt.Sprintf("gpusim: thread %d releasing %q it does not hold", t.Linear, l.name))
 	}
-	hold := (t.instrs - t.lockStartInstr) + t.b.dev.cfg.LockHandoffCycles
-	if s := t.b.spec; s != nil {
-		s.curEv[t.lockEventIdx].hold = hold
-	} else {
-		t.b.events[t.lockEventIdx].hold = hold
-	}
+	t.b.events[t.lockEventIdx].hold = (t.instrs - t.lockStartInstr) + t.b.dev.cfg.LockHandoffCycles
 	t.lockHeld = nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // wdDevice builds a small device + memory pair with the watchdog armed.
-func wdDevice(t *testing.T, steps int64, workers int) (*Device, *memsim.Memory) {
+func wdDevice(t *testing.T, steps int64) (*Device, *memsim.Memory) {
 	t.Helper()
 	mcfg := memsim.DefaultConfig()
 	mcfg.CacheBytes = 1 << 14
@@ -17,7 +17,6 @@ func wdDevice(t *testing.T, steps int64, workers int) (*Device, *memsim.Memory) 
 	cfg := DefaultConfig()
 	cfg.NumSMs = 2
 	cfg.WatchdogSteps = steps
-	cfg.Workers = workers
 	return MustNew(cfg, mem), mem
 }
 
@@ -39,8 +38,8 @@ func spinKernel(locks, out memsim.Region) KernelFunc {
 	}
 }
 
-// launchResultsEqual compares LaunchResults across engines, comparing the
-// watchdog abort by value (the pointers necessarily differ).
+// launchResultsEqual compares two LaunchResults, comparing the watchdog
+// abort by value (the pointers necessarily differ).
 func launchResultsEqual(a, b LaunchResult) bool {
 	if (a.Watchdog == nil) != (b.Watchdog == nil) {
 		return false
@@ -55,11 +54,11 @@ func launchResultsEqual(a, b LaunchResult) bool {
 // TestWatchdogAbortsStuckLockLivelock: a stuck-at fault pinning a lock
 // word to "held" turns the acquisition spin into a livelock; the watchdog
 // must convert it into a typed ErrWatchdog abort with a consistent crash
-// image instead of hanging, identically on the serial and parallel
-// engines.
+// image instead of hanging, identically when the launch runs again on a
+// fresh device.
 func TestWatchdogAbortsStuckLockLivelock(t *testing.T) {
-	run := func(workers int) (LaunchResult, []byte) {
-		dev, mem := wdDevice(t, 20_000, workers)
+	run := func() (LaunchResult, []byte) {
+		dev, mem := wdDevice(t, 20_000)
 		locks := dev.Alloc("locks", 4*8)
 		out := dev.Alloc("out", 4*8)
 		// Pin bit 0 of block 1's lock word to 1: the word durably reads
@@ -69,7 +68,7 @@ func TestWatchdogAbortsStuckLockLivelock(t *testing.T) {
 		return res, mem.NVMImage()
 	}
 
-	res, img := run(1)
+	res, img := run()
 	if !res.Interrupted || res.Watchdog == nil {
 		t.Fatalf("livelock not aborted: %+v", res)
 	}
@@ -83,12 +82,12 @@ func TestWatchdogAbortsStuckLockLivelock(t *testing.T) {
 		t.Fatalf("retired blocks = %d, want 1 (only block 0 precedes the hang)", res.Blocks)
 	}
 
-	resP, imgP := run(8)
-	if !launchResultsEqual(res, resP) {
-		t.Fatalf("parallel abort diverges:\nserial   %+v (%v)\nparallel %+v (%v)", res, res.Watchdog, resP, resP.Watchdog)
+	res2, img2 := run()
+	if !launchResultsEqual(res, res2) {
+		t.Fatalf("abort diverges between runs:\nfirst  %+v (%v)\nsecond %+v (%v)", res, res.Watchdog, res2, res2.Watchdog)
 	}
-	if !bytes.Equal(img, imgP) {
-		t.Fatal("durable images diverge between serial and parallel watchdog aborts")
+	if !bytes.Equal(img, img2) {
+		t.Fatal("durable images diverge between two runs of the watchdog abort")
 	}
 }
 
@@ -97,7 +96,7 @@ func TestWatchdogAbortsStuckLockLivelock(t *testing.T) {
 // watchdog-disabled run.
 func TestWatchdogQuietOnHealthyKernel(t *testing.T) {
 	run := func(steps int64) LaunchResult {
-		dev, _ := wdDevice(t, steps, 1)
+		dev, _ := wdDevice(t, steps)
 		locks := dev.Alloc("locks", 4*8)
 		out := dev.Alloc("out", 4*8)
 		res := dev.Launch("spin", D1(4), D1(32), spinKernel(locks, out))

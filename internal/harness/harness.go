@@ -171,17 +171,8 @@ var Experiments = []Experiment{
 	{"mtbf", "§IV-A: checkpoint interval planning from failure rate", (*Runner).MTBFPlan},
 }
 
-// experimentAliases maps deprecated experiment IDs to their successors
-// (the old name keeps working on the CLI; RunAll runs each once).
-var experimentAliases = map[string]string{
-	"epcompare": "modelcompare",
-}
-
-// ByID looks an experiment up, resolving deprecated aliases.
+// ByID looks an experiment up.
 func ByID(id string) (Experiment, bool) {
-	if alias, ok := experimentAliases[id]; ok {
-		id = alias
-	}
 	for _, e := range Experiments {
 		if e.ID == id {
 			return e, true

@@ -205,26 +205,6 @@ func TestLockConfigsSlower(t *testing.T) {
 	}
 }
 
-func TestEPCompareDirections(t *testing.T) {
-	r := smallRunner()
-	tbl, err := r.EPCompare()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tbl.Rows {
-		epO := parsePct(t, row[1])
-		lpO := parsePct(t, row[2])
-		if epO <= lpO {
-			t.Errorf("%s: EP overhead %v%% not greater than LP %v%%", row[0], epO, lpO)
-		}
-		epW := parsePct(t, strings.TrimPrefix(row[3], "+"))
-		lpW := parsePct(t, strings.TrimPrefix(row[4], "+"))
-		if epW <= lpW {
-			t.Errorf("%s: EP write amplification %v%% not greater than LP %v%%", row[0], epW, lpW)
-		}
-	}
-}
-
 func TestLoadFactorMonotone(t *testing.T) {
 	r := smallRunner()
 	tbl, err := r.LoadFactor()
@@ -448,20 +428,5 @@ func TestModelCompareSubset(t *testing.T) {
 	opt.Models = []string{"nope"}
 	if _, err := NewRunner(opt).ModelCompare(); err == nil {
 		t.Fatal("unknown model in Options.Models did not error")
-	}
-}
-
-func TestExperimentAlias(t *testing.T) {
-	e, ok := ByID("epcompare")
-	if !ok {
-		t.Fatal("deprecated id epcompare no longer resolves")
-	}
-	if e.ID != "modelcompare" {
-		t.Fatalf("epcompare resolved to %q, want modelcompare", e.ID)
-	}
-	for _, exp := range Experiments {
-		if exp.ID == "epcompare" {
-			t.Fatal("epcompare still registered: RunAll would run the sweep twice")
-		}
 	}
 }

@@ -11,8 +11,7 @@ import (
 	"gpulp/internal/pmodel"
 )
 
-// modelCompareBenches is the workload slice the model sweep runs over —
-// the same five benchmarks the legacy epcompare experiment used.
+// modelCompareBenches is the workload slice the model sweep runs over.
 var modelCompareBenches = []string{"tmm", "spmv", "sad", "histo", "mri-q"}
 
 // ModelCompare sweeps every registered persistency model — LP, EP,

@@ -7,8 +7,8 @@ import (
 
 // TestExperimentRegistryIntegrity pins the registry's structural
 // contract: every experiment has a unique ID, a non-empty title, a
-// runnable body, and round-trips through ByID; every deprecated alias
-// resolves to a live experiment without shadowing a real ID.
+// runnable body, and round-trips through ByID; an ID that is not
+// registered (such as the retired epcompare) does not resolve.
 func TestExperimentRegistryIntegrity(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range Experiments {
@@ -30,17 +30,8 @@ func TestExperimentRegistryIntegrity(t *testing.T) {
 			t.Errorf("ByID(%q) round-trip failed: %+v", e.ID, got)
 		}
 	}
-	for alias, target := range experimentAliases {
-		if seen[alias] {
-			t.Errorf("alias %q shadows a registered experiment", alias)
-		}
-		if !seen[target] {
-			t.Errorf("alias %q points at unregistered experiment %q", alias, target)
-		}
-		got, ok := ByID(alias)
-		if !ok || got.ID != target {
-			t.Errorf("ByID(%q) did not resolve to %q", alias, target)
-		}
+	if got, ok := ByID("epcompare"); ok {
+		t.Errorf("ByID resolved the unregistered id epcompare to %q", got.ID)
 	}
 }
 

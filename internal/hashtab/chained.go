@@ -1,7 +1,6 @@
 package hashtab
 
 import (
-
 	"gpulp/internal/checksum"
 	"gpulp/internal/gpusim"
 	"gpulp/internal/memsim"
@@ -90,7 +89,7 @@ func (c *chainedStore) bucketOf(key uint64) int {
 // must not consume pool space), otherwise allocate a node from the pool
 // and push it at the bucket head.
 func (c *chainedStore) Insert(t *gpusim.Thread, key uint64, sum checksum.State) {
-	st := blockStats(t, &c.stats)
+	st := &c.stats
 	st.Inserts++
 	if c.mode == LockBased {
 		t.LockAcquire(c.lock)
@@ -153,7 +152,7 @@ func (c *chainedStore) Insert(t *gpusim.Thread, key uint64, sum checksum.State) 
 // Corrupt links (node index past the pool) terminate the walk as "not
 // found" rather than faulting — validation then reports the key failed.
 func (c *chainedStore) Lookup(t *gpusim.Thread, key uint64) (checksum.State, bool) {
-	blockStats(t, &c.stats).Lookups++
+	c.stats.Lookups++
 	bucket := c.bucketOf(key)
 	t.Op(4)
 	cur := t.LoadU64K(memsim.AccessChecksum, c.heads, bucket)

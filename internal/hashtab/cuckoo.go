@@ -77,7 +77,7 @@ func (c *cuckooStore) slotFor(key uint64, table int) int {
 
 // Insert implements Store.
 func (c *cuckooStore) Insert(t *gpusim.Thread, key uint64, sum checksum.State) {
-	blockStats(t, &c.stats).Inserts++
+	c.stats.Inserts++
 	if c.mode == LockBased {
 		t.LockAcquire(c.lock)
 		defer t.LockRelease(c.lock)
@@ -86,7 +86,7 @@ func (c *cuckooStore) Insert(t *gpusim.Thread, key uint64, sum checksum.State) {
 }
 
 func (c *cuckooStore) insert(t *gpusim.Thread, key uint64, sum checksum.State) {
-	st := blockStats(t, &c.stats)
+	st := &c.stats
 	curKey, curSum := PackKey(key), sum
 	table := 0
 	for kick := 0; kick < maxKicks; kick++ {
@@ -150,13 +150,6 @@ func (c *cuckooStore) insert(t *gpusim.Thread, key uint64, sum checksum.State) {
 // resident entry. All traffic is charged to the calling thread, as the
 // rehash runs on-device in the paper's design.
 func (c *cuckooStore) rehash(t *gpusim.Thread) {
-	if t.Block().Speculative() {
-		// A rehash replaces the hash functions — shared store state no
-		// speculative block may touch. Panic out of the speculative run;
-		// the worker converts it into a direct re-execution at the block's
-		// dispatch slot, where the rehash applies serially.
-		panic("hashtab: cuckoo rehash during speculative execution")
-	}
 	c.stats.Rehashes++
 	if c.stats.Rehashes > 64 {
 		panic(fmt.Sprintf("hashtab: cuckoo rehash storm (%d keys, cap %d per table)", c.nKeys, c.tabs[0].cap))
@@ -191,7 +184,7 @@ func (c *cuckooStore) noteProbeDepth(st *Stats, i int64) {
 // Lookup implements Store: at most one probe per table (the constant-time
 // lookup that makes cuckoo attractive, §IV-C).
 func (c *cuckooStore) Lookup(t *gpusim.Thread, key uint64) (checksum.State, bool) {
-	blockStats(t, &c.stats).Lookups++
+	c.stats.Lookups++
 	for table := 0; table < 2; table++ {
 		slot := c.slotFor(key, table)
 		tab := c.tabs[table]

@@ -83,9 +83,8 @@ func (g *globalArray) check(key uint64) {
 // Insert implements Store: two plain stores to the block's own entry.
 func (g *globalArray) Insert(t *gpusim.Thread, key uint64, sum checksum.State) {
 	g.check(key)
-	st := blockStats(t, &g.stats)
-	st.Inserts++
-	st.Probes++
+	g.stats.Inserts++
+	g.stats.Probes++
 	t.Op(1) // index arithmetic
 	w := g.words()
 	t.StoreU64K(memsim.AccessChecksum, g.region, int(key)*w, sum.Mod)
@@ -107,9 +106,8 @@ func (g *globalArray) MergeInsert(t *gpusim.Thread, key uint64, sum checksum.Sta
 		panic("hashtab: MergeInsert on a global array built without MergeCount")
 	}
 	g.check(key)
-	st := blockStats(t, &g.stats)
-	st.Inserts++
-	st.Probes++
+	g.stats.Inserts++
+	g.stats.Probes++
 	t.Op(1)
 	t.AtomicAddU64(g.region, int(key)*gaMergeWords, sum.Mod)
 	t.AtomicXorU64(g.region, int(key)*gaMergeWords+1, sum.Par)
@@ -122,7 +120,7 @@ func (g *globalArray) LookupCount(t *gpusim.Thread, key uint64) (checksum.State,
 		panic("hashtab: LookupCount on a global array built without MergeCount")
 	}
 	g.check(key)
-	blockStats(t, &g.stats).Lookups++
+	g.stats.Lookups++
 	t.Op(1)
 	mod := t.LoadU64K(memsim.AccessChecksum, g.region, int(key)*gaMergeWords)
 	par := t.LoadU64K(memsim.AccessChecksum, g.region, int(key)*gaMergeWords+1)
@@ -156,7 +154,7 @@ func (g *globalArray) Lookup(t *gpusim.Thread, key uint64) (checksum.State, bool
 		st, count := g.LookupCount(t, key)
 		return st, count > 0
 	}
-	blockStats(t, &g.stats).Lookups++
+	g.stats.Lookups++
 	t.Op(1)
 	mod := t.LoadU64K(memsim.AccessChecksum, g.region, int(key)*gaWords)
 	par := t.LoadU64K(memsim.AccessChecksum, g.region, int(key)*gaWords+1)

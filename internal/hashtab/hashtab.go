@@ -99,40 +99,6 @@ type Stats struct {
 	Overflows int64
 }
 
-// merge folds o into s. Every field is commutative (sums and a max), so
-// merging per-block partials in dispatch order reproduces the serial
-// counters exactly.
-func (s *Stats) merge(o *Stats) {
-	s.Inserts += o.Inserts
-	s.Lookups += o.Lookups
-	s.Collisions += o.Collisions
-	s.Probes += o.Probes
-	if o.MaxProbe > s.MaxProbe {
-		s.MaxProbe = o.MaxProbe
-	}
-	s.Rehashes += o.Rehashes
-	s.RaceRedos += o.RaceRedos
-	s.Overflows += o.Overflows
-}
-
-// blockStats returns the Stats a store operation should mutate on behalf
-// of thread t: the store's own counters when the block executes directly,
-// or a per-block staged copy — merged into real at the block's
-// dispatch-order commit — when the block executes speculatively. Keyed by
-// the real *Stats so several stores (or a store and its tests) stage
-// independently within one block.
-func blockStats(t *gpusim.Thread, real *Stats) *Stats {
-	b := t.Block()
-	if !b.Speculative() {
-		return real
-	}
-	return b.Staged(real, func() any {
-		st := &Stats{}
-		b.OnCommit(func() { real.merge(st) })
-		return st
-	}).(*Stats)
-}
-
 // Store is a checksum table in device global memory.
 type Store interface {
 	// Kind returns the organization of the store.

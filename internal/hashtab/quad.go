@@ -66,7 +66,7 @@ func (q *quadStore) slotAt(home, i int) int {
 
 // Insert implements Store.
 func (q *quadStore) Insert(t *gpusim.Thread, key uint64, sum checksum.State) {
-	blockStats(t, &q.stats).Inserts++
+	q.stats.Inserts++
 	switch q.mode {
 	case LockBased:
 		t.LockAcquire(q.lock)
@@ -80,7 +80,7 @@ func (q *quadStore) Insert(t *gpusim.Thread, key uint64, sum checksum.State) {
 }
 
 func (q *quadStore) insertCAS(t *gpusim.Thread, key uint64, sum checksum.State) {
-	st := blockStats(t, &q.stats)
+	st := &q.stats
 	home := q.home(key)
 	for i := 0; i <= q.tab.cap; i++ {
 		slot := q.slotAt(home, i)
@@ -108,7 +108,7 @@ func (q *quadStore) insertCAS(t *gpusim.Thread, key uint64, sum checksum.State) 
 // pays an extra verification load (§IV-D.3 found this costs far more than
 // the atomics it saves).
 func (q *quadStore) insertPlain(t *gpusim.Thread, key uint64, sum checksum.State, racy bool) {
-	st := blockStats(t, &q.stats)
+	st := &q.stats
 	home := q.home(key)
 	for i := 0; i <= q.tab.cap; i++ {
 		slot := q.slotAt(home, i)
@@ -159,7 +159,7 @@ func (q *quadStore) noteProbeDepth(st *Stats, i int64) {
 // Lookup implements Store. Lookups are off the critical path (crash
 // recovery only).
 func (q *quadStore) Lookup(t *gpusim.Thread, key uint64) (checksum.State, bool) {
-	blockStats(t, &q.stats).Lookups++
+	q.stats.Lookups++
 	home := q.home(key)
 	for i := 0; i <= q.tab.cap; i++ {
 		slot := q.slotAt(home, i)

@@ -4,7 +4,7 @@ import "math/bits"
 
 // dirty.go indexes the cache's dirty lines so that every walk over them —
 // the epoch/checkpoint drain (FlushAll), DirtyLines, PartialCrash's
-// eviction list, BeginSnapshot's eager copies and Crash — costs O(dirty
+// eviction list and Crash — costs O(dirty
 // lines), not O(cache lines). A serving epoch that dirties a few dozen
 // lines of a 32,768-line L2 drains in time proportional to those lines.
 //

@@ -101,9 +101,6 @@ func (m *Memory) tornWriteBack(l *line, rng *rand.Rand) {
 		// advances and stuck cells override the persisted chunk.
 		data = m.mediaEffective(l.tag, data)
 	}
-	// Route through mutateNVM so an active snapshot preserves the line's
-	// pre-tear durable bytes — torn persistence is a durable-image event
-	// and must stay invisible to the frozen coherent view.
 	m.mutateNVM(l.tag, data)
 	m.notify(PersistEvent{Kind: EvTornWriteBack, Addr: l.tag, Data: data})
 	m.stats.NVMLineWrites++
@@ -137,10 +134,8 @@ func (m *Memory) InjectBitFlipsRange(rng *rand.Rand, base uint64, size, n int) [
 }
 
 // FlipBit flips one bit of the durable image at addr, the deterministic
-// primitive behind InjectBitFlips. The mutation goes through the
-// snapshot copy-on-write path: an active Snapshot keeps presenting the
-// pre-flip byte, exactly as it would had the media error struck with no
-// snapshot outstanding (flips surface only to durable readers).
+// primitive behind InjectBitFlips. A cached copy of the line keeps the
+// pre-flip byte: flips surface only to durable readers.
 func (m *Memory) FlipBit(addr uint64, bit uint8) {
 	m.ensureNVM(addr &^ uint64(m.cfg.LineSize-1))
 	bit %= 8
@@ -182,9 +177,6 @@ func (m *Memory) SnapshotNVM() []byte {
 // crash would. Bytes allocated after the snapshot was taken are zeroed.
 func (m *Memory) RestoreNVM(img []byte) {
 	m.growNVM(len(img))
-	// Route through the snapshot-safe mutator: a raw copy here would
-	// rewrite lines an active copy-on-write snapshot has not captured
-	// yet, corrupting the frozen view parallel workers are reading.
 	m.mutateNVM(0, img)
 	if len(m.nvm) > len(img) {
 		m.mutateNVM(uint64(len(img)), make([]byte, len(m.nvm)-len(img)))

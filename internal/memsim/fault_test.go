@@ -212,11 +212,9 @@ func TestPeekViewsConvergeAfterCrash(t *testing.T) {
 	}
 }
 
-// TestRestoreNVMSnapshotFrozen is the regression test for the violation
-// lpvet's persistbarrier pass found in RestoreNVM: it copied the rollback
-// image into the durable array directly, so a live copy-on-write snapshot
-// — whose lazy capture relies on every mutation routing through
-// mutateNVM — saw the restored bytes bleed into its "frozen" view.
+// TestRestoreNVMSnapshotFrozen: RestoreNVM rolls the durable image back to
+// a checkpoint, and a checkpoint taken before the rollback keeps the bytes
+// it imaged, so restoring it brings them back.
 func TestRestoreNVMSnapshotFrozen(t *testing.T) {
 	m := MustNew(tinyConfig())
 	r := m.Alloc("data", 256)
@@ -230,51 +228,46 @@ func TestRestoreNVMSnapshotFrozen(t *testing.T) {
 		r.StoreU32(AccessData, i, 0xcafe0000+uint32(i))
 	}
 	m.FlushAll() // durable image now holds the cafe values, all lines clean
+	frozen := m.SnapshotNVM()
 
-	s := m.BeginSnapshot()
-	frozen := make([]byte, r.Size)
+	m.RestoreNVM(ckpt)
 	for i := 0; i < 64; i++ {
-		s.read(r.Base+uint64(4*i), frozen[4*i:4*i+4])
+		if got := r.NVMU32(i); got != uint32(i)+7 {
+			t.Fatalf("durable element %d after restore = %#x, want rolled-back %#x", i, got, uint32(i)+7)
+		}
 	}
 
-	m.RestoreNVM(ckpt) // mid-snapshot rollback
-
+	m.RestoreNVM(frozen)
 	for i := 0; i < 64; i++ {
-		if got := s.ReadU32(r.Base + uint64(4*i)); got != 0xcafe0000+uint32(i) {
-			t.Fatalf("snapshot leaked restore at element %d: read %#x, want frozen %#x",
+		if got := r.NVMU32(i); got != 0xcafe0000+uint32(i) {
+			t.Fatalf("durable element %d after restoring the later checkpoint = %#x, want %#x",
 				i, got, 0xcafe0000+uint32(i))
 		}
 	}
-	m.EndSnapshot()
-
-	if got := r.NVMU32(0); got != 7 {
-		t.Errorf("durable image after restore = %#x, want rolled-back %#x", got, 7)
-	}
-	_ = frozen
 }
 
 // TestRestoreNVMSnapshotGrownImage covers the backing-array growth path:
-// restoring an image larger than the current durable array replaces the
-// array, and the active snapshot must keep reading its own (old) one.
+// restoring an image larger than the current durable array grows the array
+// to it, and restoring a checkpoint taken before the growth brings back its
+// bytes and zeroes everything past its length.
 func TestRestoreNVMSnapshotGrownImage(t *testing.T) {
 	m := MustNew(tinyConfig())
 	r := m.Alloc("data", 128)
 	r.HostFillU64(0x2222222222222222)
+	frozen := m.SnapshotNVM()
 
-	s := m.BeginSnapshot()
-
-	big := make([]byte, len(m.NVMImage())+4096)
-	for i := range big {
-		big[i] = 0x5a
-	}
+	big := bytes.Repeat([]byte{0x5a}, len(frozen)+4096)
 	m.RestoreNVM(big)
+	if !bytes.Equal(m.NVMImage(), big) {
+		t.Fatal("restoring a larger image did not grow the durable array to it")
+	}
 
-	if got := s.ReadU64(r.Base); got != 0x2222222222222222 {
-		t.Errorf("snapshot leaked grown restore: read %#x, want frozen %#x",
+	m.RestoreNVM(frozen)
+	if got := r.NVMU64(0); got != 0x2222222222222222 {
+		t.Errorf("durable word after restoring the checkpoint = %#x, want %#x",
 			got, uint64(0x2222222222222222))
 	}
-	m.EndSnapshot()
-	if got := m.PeekNVM(r.Base, 1); got[0] != 0x5a {
-		t.Errorf("durable image after grown restore = %#x, want 0x5a", got[0])
+	if got := m.PeekNVM(uint64(len(frozen)), 4096); !bytes.Equal(got, make([]byte, 4096)) {
+		t.Error("bytes past the checkpoint's length must restore to zero")
 	}
 }

@@ -10,25 +10,25 @@
 // this write suffers a transient single-bit error (the NVM cells capture a
 // flipped bit; the next write of the line is clean) or gains a permanent
 // stuck-at bit (the cell is pinned forever; every later write of that bit
-// is overridden). Faults are evaluated at write-back time on the owner
-// goroutine — the speculative parallel engine (gpusim Workers > 1)
-// preserves the exact serial write-back order, so the fault sequence is
-// bit-identical across engine configurations. Faults manifest at read
+// is overridden). Faults are evaluated at write-back time, and gpusim runs
+// blocks one at a time in dispatch order, so the write-back order — and
+// with it the fault sequence — is bit-identical from run to run. Faults
+// manifest at read
 // time naturally: the NVM array holds the effective (faulted) bytes, so
 // any fill, peek, or post-crash read observes them.
 //
 // Detection is ECC-style: for every line that has deviated from its
 // intended durable contents the model keeps the intended bytes (what a
 // fault-free medium would hold). Scrub sweeps that metadata, rewrites
-// correctable lines through the ordinary COW/persistency-event paths
+// correctable lines through the ordinary persistency-event path
 // (EvScrubRepair), and reports lines a rewrite cannot fix because a stuck
 // cell holds the wrong value — the quarantine candidates.
 //
 // Cache lines stay pristine throughout: faults perturb only the durable
 // array, via a Memory-owned scratch buffer, never the caller's cache-line
-// bytes. All durable mutations route through mutateNVM/mutateNVMLine so
-// active snapshots stay byte-frozen, and every mutation event carries the
-// effective bytes so the persistcheck oracle stays exact.
+// bytes. All durable mutations route through mutateNVM, and every
+// mutation event carries the effective bytes so the persistcheck oracle
+// stays exact.
 package memsim
 
 import (
@@ -403,7 +403,7 @@ func (m *Memory) Scrub() ScrubReport {
 		copy(eff, ml.intended)
 		ml.applyStuck(eff, 0)
 		if !bytes.Equal(cur, eff) {
-			m.mutateNVMLine(lineAddr, eff)
+			m.mutateNVM(lineAddr, eff)
 			m.notify(PersistEvent{Kind: EvScrubRepair, Addr: lineAddr, Data: eff})
 			m.stats.NVMLineWrites++
 			if m.stats.NVMWritesByRegion == nil {

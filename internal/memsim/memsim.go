@@ -11,15 +11,11 @@
 // to have been written back — which is the failure model Lazy Persistency
 // is designed to detect and recover from.
 //
-// All mutating entry points remain single-goroutine: the GPU simulator
-// that drives them is a deterministic discrete-event engine whose commit
-// loop owns the hierarchy, and determinism is a feature (experiments are
-// reproducible bit-for-bit). For host-parallel execution the package adds
-// one concurrency-safe read path: BeginSnapshot freezes the coherent view
-// behind address-striped copy-on-write locks, letting worker goroutines
-// read a stable image (Snapshot.ReadU32/ReadU64) while the owning
-// goroutine keeps mutating the live hierarchy. Use one Memory per
-// simulated device.
+// A Memory belongs to one goroutine: the GPU simulator that drives it runs
+// thread blocks one at a time, and determinism is a feature (experiments
+// are reproducible bit-for-bit). Use one Memory per simulated device.
+// Every change to the durable array goes through mutateNVM, the one point
+// the persist observer and the media model hook into.
 package memsim
 
 import (
@@ -172,7 +168,6 @@ type Memory struct {
 	next    uint64 // allocation cursor
 	regions []Region
 	stats   Stats
-	snap    *Snapshot // active copy-on-write snapshot, nil when inactive
 
 	// lineShift is log2(LineSize). setMask is numSets-1 when setPow2 (the
 	// set count is a power of two); otherwise setIndex falls back to %.
@@ -359,14 +354,19 @@ func (m *Memory) ensureNVM(lineAddr uint64) {
 // growNVM extends the durable array to at least end bytes; the new bytes
 // are zero. Every growth goes through here. append grows the capacity
 // geometrically, so a run of allocations copies the image a logarithmic
-// number of times, not once per allocation. Growing in place is safe
-// under an active snapshot: the snapshot keeps its own slice of the array
-// and reads only below that slice's length, and every write below it
-// goes through mutateNVM.
+// number of times, not once per allocation.
 func (m *Memory) growNVM(end int) {
 	if end > len(m.nvm) {
 		m.nvm = append(m.nvm, make([]byte, end-len(m.nvm))...)
 	}
+}
+
+// mutateNVM overwrites the durable array at addr with buf. It is the one
+// place the durable image changes (growth only appends zeros): the
+// persistbarrier analyzer rejects any other write to m.nvm, so every
+// mutation stays next to the persist event its caller emits.
+func (m *Memory) mutateNVM(addr uint64, buf []byte) {
+	copy(m.nvm[addr:], buf)
 }
 
 func (m *Memory) writeBack(l *line) {
@@ -379,7 +379,7 @@ func (m *Memory) writeBack(l *line) {
 		data = m.mediaEffective(l.tag, l.data)
 	}
 	if !m.plantShouldDrop() {
-		m.mutateNVMLine(l.tag, data)
+		m.mutateNVM(l.tag, data)
 	}
 	m.notify(PersistEvent{Kind: EvWriteBack, Addr: l.tag, Data: data})
 	m.stats.NVMLineWrites++
@@ -500,8 +500,7 @@ func (m *Memory) PeekCoherent(addr uint64, size int) []byte {
 
 // PeekCoherentU32 reads the current logical 32-bit value at addr without
 // touching statistics, cache state, or the heap. addr must be 4-aligned.
-// It is the primitive behind speculative-trace validation in gpusim, where
-// a per-word PeekCoherent allocation would dominate the commit path.
+// It is the primitive behind the allocation-free Region.PeekU32 view.
 func (m *Memory) PeekCoherentU32(addr uint64) uint32 {
 	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
 	if l := m.findLine(lineAddr); l != nil {
@@ -527,7 +526,7 @@ func (m *Memory) PeekCoherentU64(addr uint64) uint64 {
 
 // NVMImage returns a copy of the full durable image — what a post-crash
 // reader would see across every allocation. Determinism tests compare
-// these images bit-for-bit across engine configurations.
+// these images bit-for-bit across repeated runs.
 func (m *Memory) NVMImage() []byte {
 	out := make([]byte, len(m.nvm))
 	copy(out, m.nvm)

@@ -66,51 +66,6 @@ func TestNVMGrowthImage(t *testing.T) {
 	}
 }
 
-// TestNVMGrowthInPlaceKeepsSnapshot: an allocation that extends the
-// durable array inside its spare capacity must not change what an active
-// snapshot sees, below its frozen length or past it.
-func TestNVMGrowthInPlaceKeepsSnapshot(t *testing.T) {
-	m := MustNew(tinyConfig())
-	a := m.Alloc("a", 4096)
-	m.Alloc("pad", 64) // leaves spare capacity behind the image
-	for i := 0; i < a.Size/8; i++ {
-		m.HostWrite(a.Base+uint64(i*8), []byte{byte(i), 1, 2, 3, 4, 5, 6, byte(i >> 8)})
-	}
-	frozenLen := uint64(len(m.nvm))
-	if cap(m.nvm) <= len(m.nvm) {
-		t.Fatalf("no spare capacity after two allocations (len %d cap %d)", len(m.nvm), cap(m.nvm))
-	}
-	want := make([]uint64, a.Size/8)
-	s := m.BeginSnapshot()
-	for i := range want {
-		want[i] = s.ReadU64(a.Base + uint64(i*8))
-	}
-
-	first := &m.nvm[0]
-	b := m.Alloc("b", 64)
-	if &m.nvm[0] != first {
-		t.Fatalf("allocation inside the spare capacity moved the array")
-	}
-	if b.Base < frozenLen {
-		t.Fatalf("new region at %d lies below the frozen length %d", b.Base, frozenLen)
-	}
-	m.HostWrite(b.Base, bytes.Repeat([]byte{0xFF}, b.Size))
-	m.HostWrite(a.Base, bytes.Repeat([]byte{0xEE}, 64))
-
-	for i, w := range want {
-		if got := s.ReadU64(a.Base + uint64(i*8)); got != w {
-			t.Fatalf("frozen word %d = %#x after in-place growth, want %#x", i, got, w)
-		}
-	}
-	if got := s.ReadU64(b.Base); got != 0 {
-		t.Fatalf("snapshot sees %#x past its frozen length, want 0", got)
-	}
-	m.EndSnapshot()
-	if got := m.PeekNVM(b.Base, b.Size); !bytes.Equal(got, bytes.Repeat([]byte{0xFF}, b.Size)) {
-		t.Fatalf("live image lost the new region's write: %v", got)
-	}
-}
-
 // TestNVMGrowthAmortized: 64 allocations of 64 KiB grow the image 64
 // times. With exact-size growth each one copies the whole image, about
 // 130 MiB in all; amortized growth must allocate at most a quarter of

@@ -6,32 +6,28 @@ import (
 	"testing"
 )
 
-// TestBitFlipUnderSnapshotFrozen is the regression test for the
-// snapshot × fault-injection interaction: a media bit flip landing on a
-// line the snapshot has NOT copy-on-write-shadowed (clean or uncached)
-// used to write the shared backing array directly, so the "frozen"
-// coherent view leaked the flip. The flip must surface only to durable
-// readers; the snapshot must keep presenting pre-flip bytes.
+// TestBitFlipUnderSnapshotFrozen: a media bit flip on a clean line lands
+// in the durable image and is what post-crash readers load, while a
+// SnapshotNVM checkpoint taken before the flip keeps the pre-flip bytes.
 func TestBitFlipUnderSnapshotFrozen(t *testing.T) {
 	m := MustNew(tinyConfig())
 	r := m.Alloc("data", 256)
 	for i := 0; i < 64; i++ {
 		r.StoreU32(AccessData, i, uint32(i)+100)
 	}
-	m.FlushAll() // every line clean and durable — no eager COW copies
-	s := m.BeginSnapshot()
+	m.FlushAll() // every line clean and durable
+	ckpt := m.SnapshotNVM()
 
 	addr := r.Base + 4*7 // element 7
-	before := s.ReadU32(addr)
+	before := r.NVMU32(7)
 	m.FlipBit(addr, 3)
 
-	if got := s.ReadU32(addr); got != before {
-		t.Errorf("snapshot leaked bit flip: read %#x, want frozen %#x", got, before)
-	}
 	if got := r.NVMU32(7); got != before^(1<<3) {
 		t.Errorf("durable image missing flip: read %#x, want %#x", got, before^(1<<3))
 	}
-	m.EndSnapshot()
+	if got := ckpt[addr] ^ m.PeekNVM(addr, 1)[0]; got != 1<<3 {
+		t.Errorf("checkpoint differs from the flipped image by %#x, want only the flipped bit %#x", got, 1<<3)
+	}
 
 	// After a crash the flip is what post-crash readers load.
 	m.Crash()
@@ -40,92 +36,31 @@ func TestBitFlipUnderSnapshotFrozen(t *testing.T) {
 	}
 }
 
-// TestBitFlipUnderSnapshotDirtyLine covers the COW-shadowed case: the
-// line was dirty at BeginSnapshot (eagerly copied with its coherent
-// value), then flushed and hit by a flip. The snapshot must present the
-// original coherent value throughout.
+// TestBitFlipUnderSnapshotDirtyLine: a checkpoint taken while a line is
+// dirty images the durable bytes, not the cached store; once the line is
+// flushed and hit by a flip, the durable image holds the flushed value
+// with the flip.
 func TestBitFlipUnderSnapshotDirtyLine(t *testing.T) {
 	m := MustNew(tinyConfig())
 	r := m.Alloc("data", 256)
 	r.StoreU32(AccessData, 0, 0xdeadbeef) // dirty, not yet durable
-	s := m.BeginSnapshot()
+	ckpt := m.SnapshotNVM()
 
 	m.FlushAll()
 	m.FlipBit(r.Base, 0)
 
-	if got := s.ReadU32(r.Base); got != 0xdeadbeef {
-		t.Errorf("snapshot of dirty line = %#x, want frozen %#x", got, 0xdeadbeef)
-	}
 	if got := r.NVMU32(0); got != 0xdeadbeef^1 {
 		t.Errorf("durable image = %#x, want flushed-then-flipped %#x", got, 0xdeadbeef^1)
 	}
-	m.EndSnapshot()
+	if got := ckpt[r.Base : r.Base+4]; !bytes.Equal(got, make([]byte, 4)) {
+		t.Errorf("checkpoint of a dirty line = %x, want the durable zeros", got)
+	}
 }
 
-// TestTornWriteBackUnderSnapshotFrozen: torn write-backs mutate the
-// durable array mid-snapshot and must likewise stay invisible to the
-// frozen view.
-func TestTornWriteBackUnderSnapshotFrozen(t *testing.T) {
-	m := MustNew(tinyConfig())
-	r := m.Alloc("data", 256)
-	for i := 0; i < 64; i++ {
-		r.StoreU32(AccessData, i, uint32(i)*2654435761+1)
-	}
-	want := make([]uint32, 64)
-	for i := range want {
-		want[i], _ = r.LoadU32(AccessData, i)
-	}
-	s := m.BeginSnapshot()
-	m.PartialCrash(rand.New(rand.NewSource(7)), CrashProfile{EvictFrac: 1, TornFrac: 1})
-	for i := range want {
-		if got := s.ReadU32(r.Base + uint64(4*i)); got != want[i] {
-			t.Fatalf("snapshot[%d] = %#x after torn write-backs, want frozen %#x", i, got, want[i])
-		}
-	}
-	m.EndSnapshot()
-}
-
-// TestFaultProcessUnderSnapshotFrozen extends the snapshot × fault
-// regression to the online media-error model: write-backs whose bytes are
-// perturbed by the seeded fault process (transient flips, fresh stuck-at
-// cells) mutate the durable array mid-snapshot and must stay invisible to
-// the frozen view.
-func TestFaultProcessUnderSnapshotFrozen(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Fault = FaultConfig{Enabled: true, Seed: 11, TransientPerWrite: 1, StuckPerWrite: 0.5}
-	m := MustNew(cfg)
-	r := m.Alloc("data", 256)
-	for i := 0; i < 64; i++ {
-		r.StoreU32(AccessData, i, uint32(i)+7)
-	}
-	m.FlushAll() // faulted bytes land durably; coherent view unaffected
-	s := m.BeginSnapshot()
-
-	want := make([]uint32, 64)
-	for i := range want {
-		want[i] = s.ReadU32(r.Base + uint64(4*i))
-	}
-	// Dirty every line again and force faulted write-backs under the live
-	// snapshot.
-	for i := 0; i < 64; i++ {
-		r.StoreU32(AccessData, i, uint32(i)*2654435761)
-	}
-	m.FlushAll()
-	for i := range want {
-		if got := s.ReadU32(r.Base + uint64(4*i)); got != want[i] {
-			t.Fatalf("snapshot[%d] = %#x after faulted write-backs, want frozen %#x", i, got, want[i])
-		}
-	}
-	if st := m.MediaStats(); st.Transient == 0 {
-		t.Fatal("fault process injected nothing — test exercised no fault path")
-	}
-	m.EndSnapshot()
-}
-
-// TestScrubAndStuckAtUnderSnapshotFrozen: scrub rewrites and planted
-// stuck-at forcings route through the COW paths too, so a live snapshot
-// must not observe them either.
-func TestScrubAndStuckAtUnderSnapshotFrozen(t *testing.T) {
+// TestScrubHealsAndStuckAtPins: a scrub rewrites lines that carry
+// transient flips with their intended bytes, and a planted stuck-at bit
+// stays pinned in the durable image through a crash.
+func TestScrubHealsAndStuckAtPins(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Fault = FaultConfig{Enabled: true, Seed: 3, TransientPerWrite: 1}
 	m := MustNew(cfg)
@@ -134,27 +69,16 @@ func TestScrubAndStuckAtUnderSnapshotFrozen(t *testing.T) {
 		r.StoreU32(AccessData, i, 0x5a5a0000+uint32(i))
 	}
 	m.FlushAll() // every line now carries one transient flip
-	s := m.BeginSnapshot()
 
-	want := make([]uint32, 64)
-	for i := range want {
-		want[i] = s.ReadU32(r.Base + uint64(4*i))
-	}
-	rep := m.Scrub() // heals the flips — durably, under the snapshot
+	rep := m.Scrub()
 	if rep.Healed == 0 {
 		t.Fatal("scrub healed nothing — test exercised no repair path")
 	}
 	m.PlantStuckAt(r.Base+5, 6, 1) // forces a durable byte immediately
-	for i := range want {
-		if got := s.ReadU32(r.Base + uint64(4*i)); got != want[i] {
-			t.Fatalf("snapshot[%d] = %#x after scrub/plant, want frozen %#x", i, got, want[i])
-		}
-	}
-	m.EndSnapshot()
 
-	// Post-snapshot, durable readers see the healed + pinned bytes: word 1
-	// holds the healed value plus the stuck-at bit (byte 5, bit 6 — bit 14
-	// of the word).
+	// Durable readers see the healed + pinned bytes: word 1 holds the
+	// healed value plus the stuck-at bit (byte 5, bit 6 — bit 14 of the
+	// word).
 	m.Crash()
 	want1 := uint32(0x5a5a0001) | 1<<14
 	if got, _ := r.LoadU32(AccessData, 1); got != want1 {

@@ -106,16 +106,15 @@ func (c *Checker) Run(cfg Config) *Report {
 		return cfg.Stop != nil && cfg.Stop()
 	}
 
-	// Phase 1: mandatory kernel × backend sweep. Fault kinds, workers
-	// and epochs rotate deterministically so the sweep alone touches
-	// every shape at least somewhere.
+	// Phase 1: mandatory kernel × backend sweep. Fault kinds rotate
+	// deterministically so the sweep alone touches every shape at least
+	// somewhere.
 	ordinal := 0
 	for ki, kernel := range cfg.Kernels {
 		for bi, backend := range cfg.Backends {
 			sc := KernelScenario{
 				Kernel:  kernel,
 				Backend: backend,
-				Workers: 1 + (ki+bi)%2, // alternate serial and speculative
 				Seed:    seedAt(ordinal),
 			}
 			sc.Fault = c.rotateFault(sc, ki+bi)
@@ -125,23 +124,20 @@ func (c *Checker) Run(cfg Config) *Report {
 		progress("sweep %d/%d: %s ok (%d scenarios)", ki+1, len(cfg.Kernels), kernel, rep.Scenarios)
 	}
 	// One differential of each kind on cheap dense kernels.
-	diffBase := KernelScenario{Kernel: "tmm", Backend: BackendGlobalArray,
-		Fault: faultsim.MidKernelCrash, Seed: seedAt(ordinal)}
-	c.check(rep, Repro{Family: FamilyDiffWorkers, Kernel: &diffBase, DiffWorkers: 4}, "diff-workers "+diffBase.String())
 	storesBase := KernelScenario{Kernel: "spmv",
-		Fault: faultsim.PartialEviction, Seed: seedAt(ordinal + 1)}
+		Fault: faultsim.PartialEviction, Seed: seedAt(ordinal)}
 	c.check(rep, Repro{Family: FamilyDiffStores, Kernel: &storesBase}, "diff-stores "+storesBase.String())
 	modelsBase := KernelScenario{Kernel: "tmm",
-		Fault: faultsim.TornWriteback, Seed: seedAt(ordinal + 2)}
+		Fault: faultsim.TornWriteback, Seed: seedAt(ordinal + 1)}
 	c.check(rep, Repro{Family: FamilyDiffModels, Kernel: &modelsBase}, "diff-models "+modelsBase.String())
-	ordinal += 3
+	ordinal += 2
 	// Two mandatory self-healing scenarios: a transient-only run the
 	// scrubber must heal bit-exactly, and a stuck-at run with spin locks
 	// that exercises the watchdog and quarantine paths.
 	transientSc := ScrubScenario{Seed: seedAt(ordinal), Transient: 0.02}
 	c.check(rep, scrubRepro(transientSc), transientSc.String())
 	stuckSc := ScrubScenario{Seed: seedAt(ordinal + 1), Transient: 0.1, StuckFrac: 0.3,
-		ScrubEvery: 1, Workers: 2, Locks: true}
+		ScrubEvery: 1, Locks: true}
 	c.check(rep, scrubRepro(stuckSc), stuckSc.String())
 	ordinal += 2
 	progress("coverage sweep done: %d scenarios, %d failures", rep.Scenarios, len(rep.Failures))
@@ -201,7 +197,6 @@ func (c *Checker) randomKernelScenario(cfg Config, seed uint64) KernelScenario {
 	sc := KernelScenario{
 		Kernel:  cfg.Kernels[pick(2, len(cfg.Kernels))],
 		Backend: cfg.Backends[pick(3, len(cfg.Backends))],
-		Workers: []int{1, 1, 2, 4}[pick(4, 4)],
 		Seed:    seed,
 	}
 	sc.Fault = c.rotateFault(sc, pick(5, 6))
@@ -226,16 +221,10 @@ func (c *Checker) randomDiff(cfg Config, seed uint64) (Repro, string) {
 		Fault:  diffFaults[pick(3, len(diffFaults))],
 		Seed:   seed,
 	}
-	switch pick(4, 3) {
-	case 0:
-		sc.Backend = BackendGlobalArray
-		return Repro{Family: FamilyDiffWorkers, Kernel: &sc, DiffWorkers: []int{2, 4, 8}[pick(5, 3)]},
-			"diff-workers " + sc.String()
-	case 1:
+	if pick(4, 2) == 0 {
 		return Repro{Family: FamilyDiffStores, Kernel: &sc}, "diff-stores " + sc.String()
-	default:
-		return Repro{Family: FamilyDiffModels, Kernel: &sc}, "diff-models " + sc.String()
 	}
+	return Repro{Family: FamilyDiffModels, Kernel: &sc}, "diff-models " + sc.String()
 }
 
 func denseOf(names []string) []string {
@@ -265,11 +254,7 @@ func opsOf(r Repro) int64 {
 		return int64(len(r.MemOps.Ops))
 	case FamilyKernel:
 		return 40
-	case FamilyDiffWorkers:
-		return 2 * 40
-	case FamilyDiffStores:
-		return 4 * 40
-	case FamilyDiffEP, FamilyDiffModels:
+	case FamilyDiffStores, FamilyDiffModels:
 		return 4 * 40
 	case FamilyScrub:
 		return 30
@@ -326,19 +311,12 @@ func (c *Checker) Shrink(r Repro) Repro {
 }
 
 // shrinkKernel reduces a failing kernel scenario along its pinnable
-// axes: serial execution, a single epoch, the earliest reproducing
-// crash point, the fewest reproducing bit flips.
+// axes: a single epoch, the earliest reproducing crash point, the fewest
+// reproducing bit flips.
 func (c *Checker) shrinkKernel(sc KernelScenario) KernelScenario {
 	fails := func(s KernelScenario) bool { return c.RunKernel(s) != nil }
 	if !fails(sc) {
 		return sc
-	}
-	if sc.Workers > 1 {
-		cand := sc
-		cand.Workers = 1
-		if fails(cand) {
-			sc = cand
-		}
 	}
 	if sc.Epochs > 1 {
 		cand := sc

@@ -5,6 +5,7 @@
 package persistcheck
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -15,15 +16,11 @@ import (
 
 // Repro families.
 const (
-	FamilyMemOps      = "memops"
-	FamilyKernel      = "kernel"
-	FamilyDiffWorkers = "diff-workers"
-	FamilyDiffStores  = "diff-stores"
-	FamilyDiffModels  = "diff-models"
-	// FamilyDiffEP is the legacy name of the model differential; old
-	// reproducers replay through FamilyDiffModels' check.
-	FamilyDiffEP = "diff-ep"
-	FamilyScrub  = "scrub"
+	FamilyMemOps     = "memops"
+	FamilyKernel     = "kernel"
+	FamilyDiffStores = "diff-stores"
+	FamilyDiffModels = "diff-models"
+	FamilyScrub      = "scrub"
 )
 
 // Repro is a self-contained, replayable scenario of any family.
@@ -35,8 +32,6 @@ type Repro struct {
 	MemOps *MemOpsScenario `json:"memops,omitempty"`
 	Kernel *KernelScenario `json:"kernel,omitempty"`
 	Scrub  *ScrubScenario  `json:"scrub,omitempty"`
-	// DiffWorkers is the parallel width for the diff-workers family.
-	DiffWorkers int `json:"diff_workers,omitempty"`
 }
 
 const reproVersion = 1
@@ -68,15 +63,13 @@ func (c *Checker) RunRepro(r Repro) error {
 			return fmt.Errorf("persistcheck: %s repro has no scrub scenario", r.Family)
 		}
 		return c.RunScrub(*r.Scrub)
-	case FamilyKernel, FamilyDiffWorkers, FamilyDiffStores, FamilyDiffModels, FamilyDiffEP:
+	case FamilyKernel, FamilyDiffStores, FamilyDiffModels:
 		if r.Kernel == nil {
 			return fmt.Errorf("persistcheck: %s repro has no kernel scenario", r.Family)
 		}
 		switch r.Family {
 		case FamilyKernel:
 			return c.RunKernel(*r.Kernel)
-		case FamilyDiffWorkers:
-			return c.RunDiffWorkers(*r.Kernel, r.DiffWorkers)
 		case FamilyDiffStores:
 			return c.RunDiffStores(*r.Kernel)
 		default:
@@ -99,14 +92,18 @@ func SaveRepro(path string, r Repro) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadRepro reads one reproducer file.
+// LoadRepro reads one reproducer file. A field the current scenario
+// types do not know (such as an old reproducer's "workers") is an error:
+// ignoring it would silently replay a different scenario.
 func LoadRepro(path string) (Repro, error) {
 	var r Repro
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return r, err
 	}
-	if err := json.Unmarshal(data, &r); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
 		return r, fmt.Errorf("persistcheck: %s: %w", path, err)
 	}
 	if r.Version != reproVersion {

@@ -20,32 +20,6 @@ var diffFaults = []faultsim.Kind{
 	faultsim.PartialEviction, faultsim.TornWriteback,
 }
 
-// RunDiffWorkers checks host-parallel determinism end to end: the same
-// scenario at Workers=1 and Workers=w must produce the identical durable
-// image at the crash instant AND identical recovered outputs. This is
-// the persistency half of the speculative engine's determinism contract.
-func (c *Checker) RunDiffWorkers(sc KernelScenario, w int) error {
-	if w < 2 {
-		w = 2
-	}
-	serial := sc
-	serial.Workers = 1
-	parallel := sc
-	parallel.Workers = w
-	a, err := c.runKernel(serial)
-	if err != nil {
-		return err
-	}
-	b, err := c.runKernel(parallel)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(a.postCrash, b.postCrash) {
-		return fmt.Errorf("persistcheck: %v: post-crash durable image differs between Workers=1 and Workers=%d", sc, w)
-	}
-	return diffOutputs(fmt.Sprintf("%v vs Workers=%d", sc, w), a, b)
-}
-
 // RunDiffStores checks that every checksum-store backend recovers the
 // same scenario to identical output contents: the store is recovery
 // metadata, and metadata organization must never leak into data.
@@ -107,15 +81,6 @@ func (c *Checker) RunDiffModels(sc KernelScenario) error {
 		}
 	}
 	return nil
-}
-
-// RunDiffEP is the legacy LP-vs-EP differential.
-//
-// Deprecated: it now delegates to RunDiffModels, which additionally
-// covers sbrp and strict; recorded diff-ep reproducers replay through
-// the stronger check.
-func (c *Checker) RunDiffEP(sc KernelScenario) error {
-	return c.RunDiffModels(sc)
 }
 
 func diffOutputs(label string, a, b *runArtifacts) error {

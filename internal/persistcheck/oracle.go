@@ -5,16 +5,16 @@
 // generates thousands of seeded scenarios (raw memory-operation
 // sequences, kernel runs under every checksum-store backend and the EP
 // baseline, crashes at arbitrary points, torn evictions, media bit
-// flips, speculative Workers counts) asserting that:
+// flips) asserting that:
 //
 //  1. after any crash, the real NVM image matches the oracle shadow bit
 //     for bit;
 //  2. validation accepts exactly the LP regions the oracle's image says
 //     have a matching durable checksum, and hardened recovery restores
 //     the fault-free golden image;
-//  3. differential properties hold — Workers=1 vs N, every store
-//     backend, and LP vs the EP baseline all recover to identical
-//     persistent contents.
+//  3. differential properties hold — every store backend, and LP vs
+//     every other registered persistency model, all recover to
+//     identical persistent contents.
 //
 // Failing scenarios shrink automatically to minimal reproducers that
 // serialize into a replayable corpus (testdata/corpus). The cmd/lpcheck

@@ -1,6 +1,7 @@
 package persistcheck
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -152,18 +153,13 @@ func TestDifferentials(t *testing.T) {
 		t.Skip("multi-variant kernel runs")
 	}
 	c := NewChecker()
-	base := KernelScenario{Kernel: "tmm", Backend: BackendGlobalArray,
-		Fault: faultsim.MidKernelCrash, Seed: 31}
-	if err := c.RunDiffWorkers(base, 4); err != nil {
-		t.Errorf("diff-workers: %v", err)
-	}
 	if err := c.RunDiffStores(KernelScenario{Kernel: "tmm",
 		Fault: faultsim.PartialEviction, Seed: 32}); err != nil {
 		t.Errorf("diff-stores: %v", err)
 	}
-	if err := c.RunDiffEP(KernelScenario{Kernel: "tmm",
+	if err := c.RunDiffModels(KernelScenario{Kernel: "tmm",
 		Fault: faultsim.CleanCrash, Seed: 33}); err != nil {
-		t.Errorf("diff-ep: %v", err)
+		t.Errorf("diff-models: %v", err)
 	}
 }
 
@@ -235,5 +231,32 @@ func TestSaveLoadReproRoundTrip(t *testing.T) {
 	}
 	if got.Family != FamilyMemOps || got.MemOps == nil || len(got.MemOps.Ops) != 12 {
 		t.Fatalf("round trip mangled repro: %+v", got)
+	}
+}
+
+// TestLoadReproRejectsRetiredFields: a reproducer that still carries a
+// field no scenario type has any more (a kernel scenario's "workers")
+// must fail to load, naming its file, rather than silently replay a
+// different scenario.
+func TestLoadReproRejectsRetiredFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"version": 1, "family": "kernel", "kernel": {"kernel": "tmm",
+		"backend": "global-array", "workers": 2, "fault": "mid-kernel", "seed": 13}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadRepro(path)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "workers") {
+		t.Fatalf("LoadRepro(%s) = %v, want an error naming the file and the unknown field", path, err)
+	}
+}
+
+// TestRunReproUnknownFamily: a reproducer of a retired family has no
+// check to replay it and must fail loudly.
+func TestRunReproUnknownFamily(t *testing.T) {
+	sc := KernelScenario{Kernel: "tmm", Backend: BackendGlobalArray, Fault: faultsim.MidKernelCrash, Seed: 13}
+	err := NewChecker().RunRepro(Repro{Version: reproVersion, Family: "diff-workers", Kernel: &sc})
+	if err == nil || !strings.Contains(err.Error(), "unknown repro family") {
+		t.Fatalf("RunRepro(diff-workers) = %v, want unknown repro family", err)
 	}
 }

@@ -48,8 +48,6 @@ func isModelBackend(backend string) bool {
 type KernelScenario struct {
 	Kernel  string `json:"kernel"`
 	Backend string `json:"backend"`
-	// Workers is the speculative host-parallelism width (0/1 = serial).
-	Workers int `json:"workers,omitempty"`
 	// Epochs runs this many LP epochs, the fault striking the last one
 	// (requires an idempotent dense kernel when > 1).
 	Epochs int           `json:"epochs,omitempty"`
@@ -64,9 +62,6 @@ type KernelScenario struct {
 // String implements fmt.Stringer.
 func (s KernelScenario) String() string {
 	out := fmt.Sprintf("%s/%s/%s seed=%#x", s.Kernel, s.Backend, s.Fault, s.Seed)
-	if s.Workers > 1 {
-		out += fmt.Sprintf(" workers=%d", s.Workers)
-	}
 	if s.Epochs > 1 {
 		out += fmt.Sprintf(" epochs=%d", s.Epochs)
 	}
@@ -162,8 +157,6 @@ type runArtifacts struct {
 	// damage (an acceptable outcome; outputs is nil then).
 	typedErr bool
 	errText  string
-	// postCrash is the durable image right after the fault struck.
-	postCrash []byte
 	// outputs holds the final durable bytes of every output region.
 	outputs [][]byte
 }
@@ -252,7 +245,6 @@ func (c *Checker) runLP(sc KernelScenario) (*runArtifacts, error) {
 		return nil, err
 	}
 	opt := c.Opt
-	opt.Dev.Workers = sc.Workers
 	lpCfg := opt.LP
 	lpCfg.Store = kind
 
@@ -298,7 +290,7 @@ func (c *Checker) runLP(sc KernelScenario) (*runArtifacts, error) {
 	if err := o.Check(); err != nil {
 		return nil, fmt.Errorf("%v: post-crash: %w", sc, err)
 	}
-	art := &runArtifacts{postCrash: mem.NVMImage()}
+	art := &runArtifacts{}
 
 	// Assertion 2: predict validation's verdict from the oracle image
 	// alone (ImageLookup over the shadow), and hold the device-side
@@ -377,7 +369,6 @@ func (c *Checker) runModel(sc KernelScenario) (*runArtifacts, error) {
 		popt.EPEntries = entries
 	}
 	opt := c.Opt
-	opt.Dev.Workers = sc.Workers
 
 	rng := rand.New(rand.NewSource(int64(splitmix(sc.Seed))))
 	mem := memsim.MustNew(opt.Mem)
@@ -410,7 +401,7 @@ func (c *Checker) runModel(sc KernelScenario) (*runArtifacts, error) {
 	if err := o.Check(); err != nil {
 		return nil, fmt.Errorf("%v: post-crash: %w", sc, err)
 	}
-	art := &runArtifacts{postCrash: mem.NVMImage()}
+	art := &runArtifacts{}
 
 	// Assertion 2, the durable-state contract: the damage the model
 	// predicts from the oracle image alone must be exactly what its

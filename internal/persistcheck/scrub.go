@@ -30,8 +30,6 @@ type ScrubScenario struct {
 	// only the ones SelfHeal issues).
 	Epochs     int `json:"epochs,omitempty"`
 	ScrubEvery int `json:"scrub_every,omitempty"`
-	// Workers is the speculative host-parallelism width (0/1 = serial).
-	Workers int `json:"workers,omitempty"`
 	// Blocks and BlockThreads fix the fill geometry (default 16 × 32).
 	Blocks       int `json:"blocks,omitempty"`
 	BlockThreads int `json:"block_threads,omitempty"`
@@ -48,9 +46,6 @@ func (s ScrubScenario) String() string {
 	}
 	if s.ScrubEvery > 0 {
 		out += fmt.Sprintf(" scrub-every=%d", s.ScrubEvery)
-	}
-	if s.Workers > 1 {
-		out += fmt.Sprintf(" workers=%d", s.Workers)
 	}
 	if s.Locks {
 		out += " locks"
@@ -81,7 +76,6 @@ func GenScrub(seed uint64) ScrubScenario {
 		StuckFrac:  []float64{0, 0.1, 0.3}[pick(3, 3)],
 		Epochs:     1 + pick(4, 3),
 		ScrubEvery: pick(5, 3), // 0 = none
-		Workers:    []int{1, 1, 2, 4}[pick(6, 4)],
 		Locks:      pick(7, 3) == 0,
 	}
 }
@@ -108,7 +102,6 @@ func (c *Checker) RunScrub(sc ScrubScenario) (err error) {
 		StuckPerWrite:     sc.Transient * sc.StuckFrac,
 	}
 	dcfg := c.Opt.Dev
-	dcfg.Workers = sc.Workers
 	dcfg.WatchdogSteps = 200_000
 	mem := memsim.MustNew(mcfg)
 	o := AttachOracle(mem)
@@ -252,15 +245,13 @@ func (c *Checker) RunScrub(sc ScrubScenario) (err error) {
 }
 
 // shrinkScrub reduces a failing scrub scenario along its pinnable axes:
-// serial execution, no locks, a single epoch, no mid-run scrubs, and
-// transient-only faults.
+// no locks, a single epoch, no mid-run scrubs, and transient-only faults.
 func (c *Checker) shrinkScrub(sc ScrubScenario) ScrubScenario {
 	fails := func(s ScrubScenario) bool { return c.RunScrub(s) != nil }
 	if !fails(sc) {
 		return sc
 	}
 	for _, cand := range []func(ScrubScenario) ScrubScenario{
-		func(s ScrubScenario) ScrubScenario { s.Workers = 1; return s },
 		func(s ScrubScenario) ScrubScenario { s.Locks = false; return s },
 		func(s ScrubScenario) ScrubScenario { s.Epochs = 1; return s },
 		func(s ScrubScenario) ScrubScenario { s.ScrubEvery = 0; return s },

@@ -12,7 +12,7 @@ func TestScrubTransientOnly(t *testing.T) {
 	for _, sc := range []ScrubScenario{
 		{Seed: 0x51, Transient: 0.01},
 		{Seed: 0x52, Transient: 0.05, ScrubEvery: 1},
-		{Seed: 0x53, Transient: 0.1, Epochs: 3, Workers: 4},
+		{Seed: 0x53, Transient: 0.1, Epochs: 3},
 	} {
 		if err := c.RunScrub(sc); err != nil {
 			t.Errorf("%v: %v", sc, err)
@@ -27,7 +27,7 @@ func TestScrubStuckFaults(t *testing.T) {
 	c := NewChecker()
 	for _, sc := range []ScrubScenario{
 		{Seed: 0x61, Transient: 0.1, StuckFrac: 0.3},
-		{Seed: 0x62, Transient: 0.2, StuckFrac: 0.5, ScrubEvery: 1, Workers: 2},
+		{Seed: 0x62, Transient: 0.2, StuckFrac: 0.5, ScrubEvery: 1},
 		{Seed: 0x63, Transient: 0.15, StuckFrac: 0.3, Locks: true},
 	} {
 		if err := c.RunScrub(sc); err != nil {
@@ -65,7 +65,7 @@ func TestScrubGenContract(t *testing.T) {
 // scenario unchanged (it only minimizes failures).
 func TestScrubShrinkKeepsPassing(t *testing.T) {
 	c := NewChecker()
-	sc := ScrubScenario{Seed: 0x51, Transient: 0.01, Workers: 4, Locks: true, Epochs: 2}
+	sc := ScrubScenario{Seed: 0x51, Transient: 0.01, Locks: true, Epochs: 2}
 	if got := c.shrinkScrub(sc); got != sc {
 		t.Fatalf("shrinker changed a passing scenario: %v -> %v", sc, got)
 	}

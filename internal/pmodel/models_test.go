@@ -14,20 +14,18 @@ import (
 
 // newSystem builds the standard test platform: a 256 KiB cache so real
 // runs leave genuinely un-persisted lines behind at a crash.
-func newSystem(workers int) (*memsim.Memory, *gpusim.Device) {
+func newSystem() (*memsim.Memory, *gpusim.Device) {
 	mcfg := memsim.DefaultConfig()
 	mcfg.CacheBytes = 256 << 10
 	mem := memsim.MustNew(mcfg)
-	dcfg := gpusim.DefaultConfig()
-	dcfg.Workers = workers
-	return mem, gpusim.MustNew(dcfg, mem)
+	return mem, gpusim.MustNew(gpusim.DefaultConfig(), mem)
 }
 
 // goldenOutputs runs the workload bare on a fresh system and returns
 // its durable outputs.
 func goldenOutputs(t *testing.T, name string) [][]byte {
 	t.Helper()
-	mem, dev := newSystem(1)
+	mem, dev := newSystem()
 	w := kernels.New(name, 1)
 	w.Setup(dev)
 	grid, blk := w.Geometry()
@@ -67,7 +65,7 @@ func TestModelCleanRun(t *testing.T) {
 	for _, spec := range pmodel.Specs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			mem, dev := newSystem(1)
+			mem, dev := newSystem()
 			w := kernels.New("tmm", 1)
 			w.Setup(dev)
 			grid, blk := w.Geometry()
@@ -102,7 +100,7 @@ func TestModelCrashRecovery(t *testing.T) {
 	for _, spec := range pmodel.Specs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			mem, dev := newSystem(1)
+			mem, dev := newSystem()
 			w := kernels.New("tmm", 1)
 			w.Setup(dev)
 			grid, blk := w.Geometry()
@@ -140,14 +138,14 @@ func TestModelCrashRecovery(t *testing.T) {
 // package produces directly — same instrumented kernel, same cycles,
 // same durable image.
 func TestLPAdapterBitIdentical(t *testing.T) {
-	memA, devA := newSystem(1)
+	memA, devA := newSystem()
 	wA := kernels.New("tmm", 1)
 	wA.Setup(devA)
 	grid, blk := wA.Geometry()
 	m := pmodel.MustLookup("lp").New(devA, wA, pmodel.Options{})
 	resA := devA.Launch("tmm", grid, blk, m.Kernel())
 
-	memB, devB := newSystem(1)
+	memB, devB := newSystem()
 	wB := kernels.New("tmm", 1)
 	wB.Setup(devB)
 	lp := core.New(devB, core.DefaultConfig(), grid, blk)
@@ -167,14 +165,14 @@ func TestLPAdapterBitIdentical(t *testing.T) {
 // TestEPAdapterBitIdentical does the same for the EP baseline against
 // direct ep.New/Wrap use with the legacy entry sizing.
 func TestEPAdapterBitIdentical(t *testing.T) {
-	memA, devA := newSystem(1)
+	memA, devA := newSystem()
 	wA := kernels.New("tmm", 1)
 	wA.Setup(devA)
 	grid, blk := wA.Geometry()
 	m := pmodel.MustLookup("ep").New(devA, wA, pmodel.Options{})
 	resA := devA.Launch("tmm", grid, blk, m.Kernel())
 
-	memB, devB := newSystem(1)
+	memB, devB := newSystem()
 	wB := kernels.New("tmm", 1)
 	wB.Setup(devB)
 	e := ep.New(devB, grid, blk, blk.Size()*4)
@@ -233,7 +231,7 @@ func (p *pingpong) Kernel(lp *core.LP) gpusim.KernelFunc {
 // recover bit-exact from a mid-kernel crash.
 func TestSBRPBufferSpill(t *testing.T) {
 	nvmWrites := func(buffer int) int64 {
-		mem, dev := newSystem(1)
+		mem, dev := newSystem()
 		w := newPingpong(dev)
 		grid, blk := w.Geometry()
 		m := pmodel.MustLookup("sbrp").New(dev, w, pmodel.Options{SBRPBuffer: buffer})
@@ -248,7 +246,7 @@ func TestSBRPBufferSpill(t *testing.T) {
 	}
 
 	golden := goldenOutputs(t, "tmm")
-	mem, dev := newSystem(1)
+	mem, dev := newSystem()
 	w := kernels.New("tmm", 1)
 	w.Setup(dev)
 	grid, blk := w.Geometry()
@@ -279,7 +277,7 @@ func TestSBRPBufferSpill(t *testing.T) {
 // crash with no blocks retired predicts the full grid and recovers.
 func TestStrictOrdering(t *testing.T) {
 	golden := goldenOutputs(t, "tmm")
-	mem, dev := newSystem(1)
+	mem, dev := newSystem()
 	w := kernels.New("tmm", 1)
 	w.Setup(dev)
 	grid, blk := w.Geometry()

@@ -128,7 +128,7 @@ type bufLine struct {
 
 // wrap instruments a plain kernel with the per-scope persist buffer.
 // All buffer state is per-block-invocation (closure locals inside the
-// block function), so concurrent speculative blocks never share it.
+// block function), so no block ever sees another block's buffer.
 func (m *sbrpModel) wrap(kernel gpusim.KernelFunc, protected ...memsim.Region) gpusim.KernelFunc {
 	if kernel == nil {
 		panic("pmodel: sbrp wraps a nil kernel")

@@ -72,7 +72,7 @@ func LookupPolicy(name string) (PolicySpec, bool) {
 // alwaysAdmit is the no-shedding baseline.
 type alwaysAdmit struct{}
 
-func (alwaysAdmit) Name() string                { return "always-admit" }
+func (alwaysAdmit) Name() string              { return "always-admit" }
 func (alwaysAdmit) Admit(int64, Request) bool { return true }
 
 // tokenBucket refills perCycle tokens per cycle up to burst and spends

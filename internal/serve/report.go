@@ -10,21 +10,21 @@ import (
 // report.go renders a serving run's outcome. Every field derives from
 // simulated cycles and seeded draws, so two runs of the same config
 // produce byte-identical reports — the root determinism suite pins
-// exactly that, across gpusim Workers settings.
+// exactly that.
 
 // ClassReport is one SLO class's outcome.
 type ClassReport struct {
-	Class        string  `json:"class"`
-	BudgetCycles int64   `json:"budget_cycles"`
-	Offered      int     `json:"offered"`
-	Admitted     int     `json:"admitted"`
-	Dropped      int     `json:"dropped"`
-	Completed    int     `json:"completed"`
-	Overflows    int     `json:"overflows,omitempty"`
-	P50          int64   `json:"p50_cycles"`
-	P95          int64   `json:"p95_cycles"`
-	P99          int64   `json:"p99_cycles"`
-	MaxLatency   int64   `json:"max_cycles"`
+	Class        string `json:"class"`
+	BudgetCycles int64  `json:"budget_cycles"`
+	Offered      int    `json:"offered"`
+	Admitted     int    `json:"admitted"`
+	Dropped      int    `json:"dropped"`
+	Completed    int    `json:"completed"`
+	Overflows    int    `json:"overflows,omitempty"`
+	P50          int64  `json:"p50_cycles"`
+	P95          int64  `json:"p95_cycles"`
+	P99          int64  `json:"p99_cycles"`
+	MaxLatency   int64  `json:"max_cycles"`
 	// SLOFrac is the fraction of completed requests inside the budget.
 	SLOFrac float64 `json:"slo_frac"`
 	// GoodputPerMCycle is budget-respecting completions per million

