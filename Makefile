@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lpvet build test tier1 race race-parallel matrix smoke campaign scrub-smoke scrub-campaign cluster-smoke cluster-soak persistcheck-smoke persistcheck-soak model-smoke model-soak serve-smoke serve-soak replica-smoke replica-soak bench bench-smoke bench-micro bench-micro-smoke ci
+.PHONY: all vet lpvet build test tier1 race matrix smoke campaign scrub-smoke scrub-campaign cluster-smoke cluster-soak persistcheck-smoke persistcheck-soak model-smoke model-soak serve-smoke serve-soak replica-smoke replica-soak bench bench-smoke bench-micro bench-micro-smoke ci
 
 all: ci
 
@@ -29,11 +29,6 @@ tier1: vet build test
 
 race:
 	$(GO) test -race ./...
-
-# race-parallel: focused -race coverage of the host-parallel execution
-# paths, the harness and campaign fan-out (internal/parwork).
-race-parallel:
-	$(GO) test -race -run 'TestCampaignParallel|TestScalingParallel' ./internal/faultsim/ ./internal/harness/
 
 # matrix: the determinism suite (every pin runs its configuration twice,
 # campaigns also at host fan-out 1 and 8) at two host scheduler widths;
@@ -173,4 +168,4 @@ bench-micro:
 bench-micro-smoke:
 	$(MICRO_BENCH) -benchtime=1x $(MICRO_PKGS)
 
-ci: vet build race race-parallel matrix smoke scrub-smoke cluster-smoke persistcheck-smoke model-smoke serve-smoke replica-smoke bench-smoke bench-micro-smoke
+ci: vet build race matrix smoke scrub-smoke cluster-smoke persistcheck-smoke model-smoke serve-smoke replica-smoke bench-smoke bench-micro-smoke

@@ -36,6 +36,10 @@
 // covers R × failure kind × placer × persistency model with a bit-exact
 // durable-pool audit on every case.
 //
+// Every mode reads the shared flags (-seeds, -seed, -json, -progress,
+// -parallel) plus its own, as listed in the mode table below; any other
+// flag, two modes at once, or a budget below 1 is a usage error (exit 2).
+//
 //	lpfault -seeds 12                      # 204-case default campaign
 //	lpfault -kernels tmm -kinds mid-kernel # one cell of the sweep
 //	lpfault -model all -seeds 4            # every persistency model, same faults
@@ -54,7 +58,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 
 	"gpulp/internal/cluster"
@@ -62,117 +69,166 @@ import (
 	"gpulp/internal/pmodel"
 )
 
+// report is what every mode produces: a text table, a JSON form (the
+// value itself), and whether any case broke the mode's contract.
+type report interface {
+	Render(io.Writer)
+	Failed() bool
+}
+
+// mode is one campaign lpfault runs.
+type mode struct {
+	// flag selects the mode; "" marks the default crash-shape campaign.
+	flag, usage string
+	// reads lists every flag the mode reads beyond sharedFlags.
+	reads []string
+	run   func(f *cliFlags) (report, error)
+}
+
+func (m mode) String() string {
+	if m.flag == "" {
+		return "the crash-shape campaign"
+	}
+	return "-" + m.flag
+}
+
+// sharedFlags are read by every mode.
+var sharedFlags = []string{"seeds", "seed", "json", "progress", "parallel"}
+
+// modes is the mode table: validate selects one entry and rejects every
+// flag it does not read, and main runs it. modes[0], the default, has no
+// selecting flag.
+var modes = []mode{
+	{"", "", []string{"kernels", "kinds", "model", "minimize", "repro", "scale", "cache", "maxrounds"}, runCrash},
+	{"ratesweep", "run the media-error rate sweep (self-healing recovery) instead of the crash-shape campaign",
+		[]string{"rates", "stuckfrac", "locks", "watchdog", "attempts", "cache"}, runRateSweep},
+	{"cluster", "run the multi-device failover campaign instead of the crash-shape campaign",
+		[]string{"devices", "routers", "failures", "jobs", "minalive", "cache"}, runCluster},
+	{"serve", "run the mid-serving crash campaign against the MEGA-KV serving layer instead of the crash-shape campaign",
+		[]string{"model"}, runServe},
+	{"replicas", "run the replicated-failover campaign instead of the crash-shape campaign",
+		[]string{"rfactors", "placers", "failures", "model", "rdevices", "jobs", "minalive", "cache"}, runReplicas},
+}
+
+// cliFlags holds every parsed flag.
+type cliFlags struct {
+	kernels, kinds, model, repro   string
+	seeds, scale, cache, maxRounds int
+	seed                           uint64
+	json, minimize, progress       bool
+	parallel                       int
+	rates                          string
+	stuckFrac                      float64
+	locks                          bool
+	watchdog                       int64
+	attempts                       int
+	devices, routers, failures     string
+	jobs, minAlive                 int
+	rfactors, placers              string
+	rdevices                       int
+	on                             map[string]*bool // each mode's selecting flag
+}
+
+// register defines every flag on fs, one selecting flag per mode of the
+// table included.
+func register(fs *flag.FlagSet) *cliFlags {
+	f := &cliFlags{on: map[string]*bool{}}
+	fs.StringVar(&f.kernels, "kernels", "tmm,spmv,megakv-insert", "comma-separated workloads to stress")
+	fs.StringVar(&f.kinds, "kinds", "", "comma-separated fault kinds (default: all of "+names(faultsim.AllKinds())+")")
+	fs.IntVar(&f.seeds, "seeds", 12, "seeded cases per campaign cell")
+	fs.Uint64Var(&f.seed, "seed", 0x1a2b3c4d, "campaign base seed")
+	fs.IntVar(&f.scale, "scale", 1, "workload input scale")
+	fs.IntVar(&f.cache, "cache", 256<<10, "cache size in bytes")
+	fs.IntVar(&f.maxRounds, "maxrounds", 3, "selective-recovery round bound before escalation (>= 1)")
+	fs.BoolVar(&f.json, "json", false, "emit the report as JSON instead of a table")
+	fs.BoolVar(&f.minimize, "minimize", true, "shrink failing cases to their smallest reproduction")
+	fs.BoolVar(&f.progress, "progress", false, "print each case as it completes")
+	fs.IntVar(&f.parallel, "parallel", 1, "host goroutines running campaign cases concurrently (the report is bit-identical at any value)")
+	fs.StringVar(&f.model, "model", "", "persistency models to campaign over: comma-separated from "+strings.Join(pmodel.Names(), ",")+
+		", or \"all\" (default: lp only; -serve: all; -replicas: lp,sbrp)")
+	fs.StringVar(&f.repro, "repro", "", "re-run a single case from its reported JSON instead of a campaign")
+
+	fs.StringVar(&f.rates, "rates", "0.002,0.01,0.05,0.2", "comma-separated per-write transient fault rates to sweep")
+	fs.Float64Var(&f.stuckFrac, "stuckfrac", 0.1, "fraction of each rate that is permanent stuck-at faults")
+	fs.BoolVar(&f.locks, "locks", false, "guard each block behind a spin lock so stuck lock cells exercise the kernel watchdog")
+	fs.Int64Var(&f.watchdog, "watchdog", 2_000_000, "kernel watchdog step budget for the rate sweep (>= 1)")
+	fs.IntVar(&f.attempts, "attempts", 4, "self-heal attempts per rate-sweep case (>= 1)")
+
+	fs.StringVar(&f.devices, "devices", "2,3", "comma-separated cluster sizes to sweep")
+	fs.StringVar(&f.routers, "routers", "", "comma-separated dispatch routers (default: all of "+names(cluster.AllRouters())+")")
+	fs.StringVar(&f.failures, "failures", "", "comma-separated device-failure kinds (default: all of "+names(cluster.AllFailureKinds())+")")
+	fs.IntVar(&f.jobs, "jobs", 8, "kernel launches (shards) per cluster case")
+	fs.IntVar(&f.minAlive, "minalive", 1, "cluster quorum: below this many non-dead devices the run degrades")
+
+	fs.StringVar(&f.rfactors, "rfactors", "1,2", "comma-separated replication factors to sweep")
+	fs.StringVar(&f.placers, "placers", "", "comma-separated replica placers (default: all of "+names(cluster.AllPlacers())+")")
+	fs.IntVar(&f.rdevices, "rdevices", 4, "fixed cluster size for the replicated-failover campaign")
+
+	for _, m := range modes[1:] {
+		f.on[m.flag] = fs.Bool(m.flag, false, m.usage)
+	}
+	return f
+}
+
+// validate picks the selected mode and rejects input it would ignore or
+// misread: two modes at once, a flag the mode does not read (the first
+// in flag-name order), a budget below 1, or no workload.
+func validate(fs *flag.FlagSet, f *cliFlags) (mode, error) {
+	m := modes[0]
+	for _, cand := range modes[1:] {
+		if !*f.on[cand.flag] {
+			continue
+		}
+		if m.flag != "" {
+			return m, fmt.Errorf("%v and %v are exclusive modes", m, cand)
+		}
+		m = cand
+	}
+	var err error
+	fs.Visit(func(fl *flag.Flag) {
+		if err == nil && f.on[fl.Name] == nil && !slices.Contains(sharedFlags, fl.Name) && !slices.Contains(m.reads, fl.Name) {
+			err = fmt.Errorf("-%s does not apply to %v", fl.Name, m)
+		}
+	})
+	if err != nil {
+		return m, err
+	}
+	for _, b := range []struct {
+		name string
+		v    int64
+	}{
+		{"seeds", int64(f.seeds)}, {"scale", int64(f.scale)}, {"cache", int64(f.cache)},
+		{"maxrounds", int64(f.maxRounds)}, {"parallel", int64(f.parallel)}, {"watchdog", f.watchdog},
+		{"attempts", int64(f.attempts)}, {"jobs", int64(f.jobs)}, {"minalive", int64(f.minAlive)},
+		{"rdevices", int64(f.rdevices)},
+	} {
+		if b.v < 1 {
+			return m, fmt.Errorf("-%s %d must be >= 1", b.name, b.v)
+		}
+	}
+	if !(f.stuckFrac >= 0 && f.stuckFrac <= 1) {
+		return m, fmt.Errorf("-stuckfrac %v must be in [0,1]", f.stuckFrac)
+	}
+	if len(splitList(f.kernels)) == 0 {
+		return m, fmt.Errorf("-kernels is empty: the crash-shape campaign needs at least one workload")
+	}
+	return m, nil
+}
+
 func main() {
-	var (
-		kernels   = flag.String("kernels", "tmm,spmv,megakv-insert", "comma-separated workloads to stress")
-		kinds     = flag.String("kinds", "", "comma-separated fault kinds (default: all of "+kindNames()+")")
-		seeds     = flag.Int("seeds", 12, "seeded cases per campaign cell")
-		baseSeed  = flag.Uint64("seed", 0x1a2b3c4d, "campaign base seed")
-		scale     = flag.Int("scale", 1, "workload input scale")
-		cache     = flag.Int("cache", 256<<10, "cache size in bytes")
-		maxRounds = flag.Int("maxrounds", 3, "selective-recovery round bound before escalation")
-		jsonOut   = flag.Bool("json", false, "emit the report as JSON instead of a table")
-		minimize  = flag.Bool("minimize", true, "shrink failing cases to their smallest reproduction")
-		progress  = flag.Bool("progress", false, "print each case as it completes")
-		parallel  = flag.Int("parallel", 1, "host goroutines running campaign cases concurrently (the report is bit-identical at any value)")
-		model     = flag.String("model", "", "persistency models to campaign over: comma-separated from "+strings.Join(pmodel.Names(), ",")+", or \"all\" (default: lp only)")
-		repro     = flag.String("repro", "", "re-run a single case from its reported JSON instead of a campaign")
-
-		rateSweep = flag.Bool("ratesweep", false, "run the media-error rate sweep (self-healing recovery) instead of the crash-shape campaign")
-		rates     = flag.String("rates", "0.002,0.01,0.05,0.2", "comma-separated per-write transient fault rates to sweep")
-		stuckFrac = flag.Float64("stuckfrac", 0.1, "fraction of each rate that is permanent stuck-at faults")
-		locks     = flag.Bool("locks", false, "guard each block behind a spin lock so stuck lock cells exercise the kernel watchdog")
-		watchdog  = flag.Int64("watchdog", 2_000_000, "kernel watchdog step budget for the rate sweep (0 disables)")
-		attempts  = flag.Int("attempts", 4, "self-heal attempts per rate-sweep case")
-
-		serveMode = flag.Bool("serve", false, "run the mid-serving crash campaign against the MEGA-KV serving layer instead of the crash-shape campaign")
-
-		clusterMode = flag.Bool("cluster", false, "run the multi-device failover campaign instead of the crash-shape campaign")
-		devices     = flag.String("devices", "2,3", "comma-separated cluster sizes to sweep")
-		routers     = flag.String("routers", "", "comma-separated dispatch routers (default: all of "+routerNames()+")")
-		failures    = flag.String("failures", "", "comma-separated device-failure kinds (default: all of "+failureNames()+")")
-		jobs        = flag.Int("jobs", 8, "kernel launches (shards) per cluster case")
-		minAlive    = flag.Int("minalive", 1, "cluster quorum: below this many non-dead devices the run degrades")
-
-		replicaMode = flag.Bool("replicas", false, "run the replicated-failover campaign instead of the crash-shape campaign")
-		rfactors    = flag.String("rfactors", "1,2", "comma-separated replication factors to sweep")
-		placers     = flag.String("placers", "", "comma-separated replica placers (default: all of "+placerNames()+")")
-		rdevices    = flag.Int("rdevices", 4, "fixed cluster size for the replicated-failover campaign")
-	)
+	f := register(flag.CommandLine)
 	flag.Parse()
-
-	if err := validateFlags(*seeds, *scale, *cache, *parallel, *attempts, *stuckFrac,
-		*kernels, *repro, *rateSweep, *clusterMode, *serveMode, *replicaMode,
-		*jobs, *minAlive, *rdevices); err != nil {
+	m, err := validate(flag.CommandLine, f)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "lpfault:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	opt := faultsim.DefaultOptions()
-	opt.Scale = *scale
-	opt.Mem.CacheBytes = *cache
-	opt.MaxRounds = *maxRounds
-
-	if *repro != "" {
-		reproduce(opt, *repro, *jsonOut)
-		return
-	}
-	if *rateSweep {
-		runRateSweep(opt, *rates, *stuckFrac, *locks, *watchdog, *attempts,
-			*seeds, *baseSeed, *parallel, *progress, *jsonOut)
-		return
-	}
-	if *clusterMode {
-		runCluster(opt, *devices, *routers, *failures, *jobs, *minAlive,
-			*seeds, *baseSeed, *parallel, *progress, *jsonOut)
-		return
-	}
-	if *serveMode {
-		runServe(*model, *seeds, *baseSeed, *parallel, *progress, *jsonOut)
-		return
-	}
-	if *replicaMode {
-		runReplicas(opt, *rfactors, *placers, *failures, *model, *rdevices, *jobs, *minAlive,
-			*seeds, *baseSeed, *parallel, *progress, *jsonOut)
-		return
-	}
-
-	c := &faultsim.Campaign{
-		Opt:      opt,
-		Kernels:  splitList(*kernels),
-		Seeds:    *seeds,
-		BaseSeed: *baseSeed,
-		Minimize: *minimize,
-		Parallel: *parallel,
-	}
-	if *model != "" {
-		specs, err := pmodel.Parse(*model)
-		if err != nil {
-			fatal(err)
-		}
-		for _, s := range specs {
-			c.Models = append(c.Models, s.Name)
-		}
-	}
-	for _, s := range splitList(*kinds) {
-		k, err := faultsim.ParseKind(s)
-		if err != nil {
-			fatal(err)
-		}
-		c.Kinds = append(c.Kinds, k)
-	}
-	if *progress {
-		c.Progress = func(done, total int, r faultsim.Result) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %v -> %v\n", done, total, r.Case, r.Outcome)
-		}
-	}
-
-	rep, err := c.Run()
+	rep, err := m.run(f)
 	if err != nil {
 		fatal(err)
 	}
-	if *jsonOut {
+	if f.json {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -186,350 +242,186 @@ func main() {
 	}
 }
 
-// validateFlags rejects contradictory or empty flag combinations with a
-// usage error before any campaign machinery spins up: a campaign with
-// zero cases, a negative budget, a mode-specific flag without its mode,
-// or two exclusive modes at once would otherwise run silently and report
-// a meaningless success.
-func validateFlags(seeds, scale, cache, parallel, attempts int, stuckFrac float64,
-	kernels, repro string, rateSweep, clusterMode, serveMode, replicaMode bool,
-	jobs, minAlive, rdevices int) error {
-	// Which flags were explicitly set on the command line.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+// options is the simulated platform of every mode that runs kernels.
+func (f *cliFlags) options() faultsim.Options {
+	opt := faultsim.DefaultOptions()
+	opt.Scale = f.scale
+	opt.Mem.CacheBytes = f.cache
+	opt.MaxRounds = f.maxRounds
+	return opt
+}
 
-	if seeds <= 0 {
-		return fmt.Errorf("-seeds %d would run an empty campaign (need >= 1)", seeds)
+// runCrash runs the crash-shape campaign, or replays one of its cases.
+func runCrash(f *cliFlags) (report, error) {
+	if f.repro != "" {
+		return reproduce(f)
 	}
-	if scale < 1 {
-		return fmt.Errorf("-scale %d must be >= 1", scale)
+	c := &faultsim.Campaign{
+		Opt:      f.options(),
+		Kernels:  splitList(f.kernels),
+		Seeds:    f.seeds,
+		BaseSeed: f.seed,
+		Minimize: f.minimize,
+		Parallel: f.parallel,
+		Progress: progress(f, func(r faultsim.Result) string { return fmt.Sprintf("%v -> %v", r.Case, r.Outcome) }),
 	}
-	if cache <= 0 {
-		return fmt.Errorf("-cache %d must be positive", cache)
+	var err error
+	c.Models = modelNames(&err, f.model)
+	c.Kinds = parseList(&err, "kinds", f.kinds, faultsim.ParseKind)
+	if err != nil {
+		return nil, err
 	}
-	if parallel < 1 {
-		return fmt.Errorf("-parallel %d must be >= 1", parallel)
-	}
-	if attempts < 0 {
-		return fmt.Errorf("-attempts %d must not be negative", attempts)
-	}
-	if stuckFrac < 0 || stuckFrac > 1 {
-		return fmt.Errorf("-stuckfrac %v must be in [0,1]", stuckFrac)
-	}
+	return c.Run()
+}
 
-	modes := 0
-	for _, m := range []bool{rateSweep, clusterMode, serveMode, replicaMode} {
-		if m {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return fmt.Errorf("-ratesweep, -cluster, -serve and -replicas are exclusive modes")
-	}
-	if repro != "" && modes > 0 {
-		return fmt.Errorf("-repro replays one crash-shape case and cannot combine with -ratesweep, -cluster, -serve or -replicas")
-	}
+// replayed is one replayed crash-shape case.
+type replayed struct{ faultsim.Result }
 
-	// Mode-specific flags demand their mode: silently ignoring them would
-	// run a different campaign than the one asked for.
-	rateOnly := []string{"rates", "stuckfrac", "locks", "watchdog", "attempts"}
-	if !rateSweep {
-		for _, name := range rateOnly {
-			if set[name] {
-				return fmt.Errorf("-%s only applies to -ratesweep", name)
-			}
-		}
-	}
-	clusterOnly := []string{"devices", "routers"}
-	if !clusterMode {
-		for _, name := range clusterOnly {
-			if set[name] {
-				return fmt.Errorf("-%s only applies to -cluster", name)
-			}
-		}
-	}
-	// Failure kinds, job counts and quorum parameterize both multi-device
-	// campaigns.
-	multiDevice := []string{"failures", "jobs", "minalive"}
-	if !clusterMode && !replicaMode {
-		for _, name := range multiDevice {
-			if set[name] {
-				return fmt.Errorf("-%s only applies to -cluster or -replicas", name)
-			}
-		}
-	}
-	replicaOnly := []string{"rfactors", "placers", "rdevices"}
-	if !replicaMode {
-		for _, name := range replicaOnly {
-			if set[name] {
-				return fmt.Errorf("-%s only applies to -replicas", name)
-			}
-		}
-	}
-	crashOnly := []string{"kernels", "kinds", "minimize", "maxrounds"}
-	if modes > 0 {
-		for _, name := range crashOnly {
-			if set[name] {
-				return fmt.Errorf("-%s only applies to the crash-shape campaign", name)
-			}
-		}
-	}
-	// -model selects persistency models for the crash-shape, serve and
-	// replica campaigns, but is meaningless for the other modes.
-	if set["model"] && (rateSweep || clusterMode) {
-		return fmt.Errorf("-model only applies to the crash-shape, -serve and -replicas campaigns")
-	}
+func (r replayed) Failed() bool { return r.Outcome.Failed() }
 
-	if modes == 0 && len(splitList(kernels)) == 0 {
-		return fmt.Errorf("-kernels is empty: the crash-shape campaign needs at least one workload")
+func (r replayed) Render(w io.Writer) {
+	tier := r.Tier.String()
+	if r.ModelTier != "" {
+		tier = r.ModelTier
 	}
-	if clusterMode || replicaMode {
-		if jobs < 1 {
-			return fmt.Errorf("-jobs %d must be >= 1", jobs)
-		}
-		if minAlive < 1 {
-			return fmt.Errorf("-minalive %d must be >= 1", minAlive)
-		}
+	fmt.Fprintf(w, "%v -> %v (tier %v, %d rounds, %d cycles)\n", r.Case, r.Outcome, tier, r.Rounds, r.Cycles)
+	if r.Err != "" {
+		fmt.Fprintln(w, "  ", r.Err)
 	}
-	if replicaMode && rdevices < 1 {
-		return fmt.Errorf("-rdevices %d must be >= 1", rdevices)
-	}
-	return nil
 }
 
 // reproduce replays one case from its JSON form (as reported in a
 // campaign's failures) on a freshly computed golden image.
-func reproduce(opt faultsim.Options, caseJSON string, jsonOut bool) {
+func reproduce(f *cliFlags) (report, error) {
 	var c faultsim.Case
-	if err := json.Unmarshal([]byte(caseJSON), &c); err != nil {
-		fatal(fmt.Errorf("bad -repro case: %w", err))
+	if err := json.Unmarshal([]byte(f.repro), &c); err != nil {
+		return nil, fmt.Errorf("bad -repro case: %w", err)
 	}
+	opt := f.options()
 	golden, err := faultsim.GoldenRun(opt, c.Kernel)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	res := faultsim.RunCase(opt, c, golden)
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-	} else {
-		tier := res.Tier.String()
-		if res.ModelTier != "" {
-			tier = res.ModelTier
-		}
-		fmt.Printf("%v -> %v (tier %v, %d rounds, %d cycles)\n",
-			res.Case, res.Outcome, tier, res.Rounds, res.Cycles)
-		if res.Err != "" {
-			fmt.Println("  ", res.Err)
-		}
-	}
-	if res.Outcome.Failed() {
-		os.Exit(1)
-	}
+	return replayed{faultsim.RunCase(opt, c, golden)}, nil
 }
 
-// runRateSweep executes the media-error rate sweep and renders or
-// JSON-encodes its report; any contract violation exits non-zero.
-func runRateSweep(opt faultsim.Options, rateList string, stuckFrac float64, locks bool,
-	watchdog int64, attempts, seeds int, baseSeed uint64, parallel int, progress, jsonOut bool) {
-	s := faultsim.DefaultRateSweep(seeds)
-	s.Opt = opt
-	s.StuckFrac = stuckFrac
-	s.Locks = locks
-	s.WatchdogSteps = watchdog
-	s.MaxAttempts = attempts
-	s.BaseSeed = baseSeed
-	s.Parallel = parallel
-	s.Rates = nil
-	for _, p := range splitList(rateList) {
-		var r float64
-		if _, err := fmt.Sscanf(p, "%g", &r); err != nil {
-			fatal(fmt.Errorf("bad -rates entry %q: %w", p, err))
-		}
-		s.Rates = append(s.Rates, r)
-	}
-	if progress {
-		s.Progress = func(done, total int, r faultsim.RateResult) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] rate=%v seed=%#x -> %v\n", done, total, r.Rate, r.Seed, r.Outcome)
-		}
-	}
-	rep, err := s.Run()
+// runRateSweep runs the media-error rate sweep.
+func runRateSweep(f *cliFlags) (report, error) {
+	s := faultsim.DefaultRateSweep(f.seeds)
+	s.Opt = f.options()
+	s.StuckFrac = f.stuckFrac
+	s.Locks = f.locks
+	s.WatchdogSteps = f.watchdog
+	s.MaxAttempts = f.attempts
+	s.BaseSeed = f.seed
+	s.Parallel = f.parallel
+	s.Progress = progress(f, func(r faultsim.RateResult) string {
+		return fmt.Sprintf("rate=%v seed=%#x -> %v", r.Rate, r.Seed, r.Outcome)
+	})
+	var err error
+	s.Rates = parseList(&err, "rates", f.rates, func(tok string) (float64, error) { return strconv.ParseFloat(tok, 64) })
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-	} else {
-		rep.Render(os.Stdout)
-	}
-	if rep.Failed() {
-		os.Exit(1)
-	}
+	return s.Run()
 }
 
-// runCluster executes the multi-device failover campaign and renders or
-// JSON-encodes its report; any contract violation exits non-zero.
-func runCluster(opt faultsim.Options, deviceList, routerList, failureList string,
-	jobs, minAlive, seeds int, baseSeed uint64, parallel int, progress, jsonOut bool) {
-	c := faultsim.DefaultClusterCampaign(seeds)
-	c.Opt = opt
-	c.BaseSeed = baseSeed
-	c.Jobs = jobs
-	c.MinAlive = minAlive
-	c.Parallel = parallel
-	for _, p := range splitList(deviceList) {
-		var d int
-		if _, err := fmt.Sscanf(p, "%d", &d); err != nil {
-			fatal(fmt.Errorf("bad -devices entry %q: %w", p, err))
-		}
-		c.DeviceCounts = append(c.DeviceCounts, d)
-	}
-	for _, s := range splitList(routerList) {
-		r, err := cluster.ParseRouterKind(s)
-		if err != nil {
-			fatal(err)
-		}
-		c.Routers = append(c.Routers, r)
-	}
-	for _, s := range splitList(failureList) {
-		k, err := cluster.ParseFailureKind(s)
-		if err != nil {
-			fatal(err)
-		}
-		c.Kinds = append(c.Kinds, k)
-	}
-	if progress {
-		c.Progress = func(done, total int, r faultsim.ClusterResult) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %v -> %v\n", done, total, r.Case, r.Outcome)
-		}
-	}
-	rep, err := c.Run()
+// runCluster runs the multi-device failover campaign.
+func runCluster(f *cliFlags) (report, error) {
+	c := faultsim.DefaultClusterCampaign(f.seeds)
+	c.Opt = f.options()
+	c.BaseSeed = f.seed
+	c.Jobs = f.jobs
+	c.MinAlive = f.minAlive
+	c.Parallel = f.parallel
+	c.Progress = progress(f, failoverLine)
+	var err error
+	c.DeviceCounts = parseList(&err, "devices", f.devices, strconv.Atoi)
+	c.Routers = parseList(&err, "routers", f.routers, cluster.ParseRouterKind)
+	c.Kinds = parseList(&err, "failures", f.failures, cluster.ParseFailureKind)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-	} else {
-		rep.Render(os.Stdout)
-	}
-	if rep.Failed() {
-		os.Exit(1)
-	}
+	return c.Run()
 }
 
-// runReplicas executes the replicated-failover campaign and renders or
-// JSON-encodes its report; any contract violation exits non-zero.
-func runReplicas(opt faultsim.Options, rfactorList, placerList, failureList, models string,
-	rdevices, jobs, minAlive, seeds int, baseSeed uint64, parallel int, progress, jsonOut bool) {
-	c := faultsim.DefaultReplicaCampaign(seeds)
-	c.Opt = opt
-	c.BaseSeed = baseSeed
-	c.Devices = rdevices
-	c.Jobs = jobs
-	c.MinAlive = minAlive
-	c.Parallel = parallel
-	for _, p := range splitList(rfactorList) {
-		var r int
-		if _, err := fmt.Sscanf(p, "%d", &r); err != nil {
-			fatal(fmt.Errorf("bad -rfactors entry %q: %w", p, err))
-		}
-		c.RFactors = append(c.RFactors, r)
-	}
-	for _, s := range splitList(placerList) {
-		pk, err := cluster.ParsePlacerKind(s)
-		if err != nil {
-			fatal(err)
-		}
-		c.Placers = append(c.Placers, pk)
-	}
-	for _, s := range splitList(failureList) {
-		k, err := cluster.ParseFailureKind(s)
-		if err != nil {
-			fatal(err)
-		}
-		c.Kinds = append(c.Kinds, k)
-	}
-	if models != "" {
-		specs, err := pmodel.Parse(models)
-		if err != nil {
-			fatal(err)
-		}
-		c.Models = nil
-		for _, s := range specs {
-			c.Models = append(c.Models, s.Name)
-		}
-	}
-	if progress {
-		c.Progress = func(done, total int, r faultsim.ReplicaResult) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %v -> %v\n", done, total, r.Case, r.Outcome)
-		}
-	}
-	rep, err := c.Run()
+// runReplicas runs the replicated-failover campaign.
+func runReplicas(f *cliFlags) (report, error) {
+	c := faultsim.DefaultReplicaCampaign(f.seeds)
+	c.Opt = f.options()
+	c.BaseSeed = f.seed
+	c.Devices = f.rdevices
+	c.Jobs = f.jobs
+	c.MinAlive = f.minAlive
+	c.Parallel = f.parallel
+	c.Progress = progress(f, failoverLine)
+	var err error
+	c.RFactors = parseList(&err, "rfactors", f.rfactors, strconv.Atoi)
+	c.Placers = parseList(&err, "placers", f.placers, cluster.ParsePlacerKind)
+	c.Kinds = parseList(&err, "failures", f.failures, cluster.ParseFailureKind)
+	c.Models = modelNames(&err, f.model)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-	} else {
-		rep.Render(os.Stdout)
-	}
-	if rep.Failed() {
-		os.Exit(1)
-	}
+	return c.Run()
 }
 
-// runServe executes the mid-serving crash campaign and renders or
-// JSON-encodes its report; any contract violation exits non-zero.
-func runServe(models string, seeds int, baseSeed uint64, parallel int, progress, jsonOut bool) {
-	c := faultsim.DefaultServeCampaign(seeds)
-	c.BaseSeed = baseSeed
-	c.Parallel = parallel
-	if models != "" {
-		specs, err := pmodel.Parse(models)
-		if err != nil {
-			fatal(err)
-		}
-		c.Models = nil
-		for _, s := range specs {
-			c.Models = append(c.Models, s.Name)
-		}
-	}
-	if progress {
-		c.Progress = func(done, total int, r faultsim.ServeResult) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %v -> %v\n", done, total, r.Case, r.Outcome)
-		}
-	}
-	rep, err := c.Run()
+// runServe runs the mid-serving crash campaign.
+func runServe(f *cliFlags) (report, error) {
+	c := faultsim.DefaultServeCampaign(f.seeds)
+	c.BaseSeed = f.seed
+	c.Parallel = f.parallel
+	c.Progress = progress(f, func(r faultsim.ServeResult) string { return fmt.Sprintf("%v -> %v", r.Case, r.Outcome) })
+	var err error
+	c.Models = modelNames(&err, f.model)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
+	return c.Run()
+}
+
+func failoverLine(r faultsim.FailoverResult) string {
+	return fmt.Sprintf("%v -> %v", r.Case, r.Outcome)
+}
+
+// progress prints each completed case to stderr under -progress.
+func progress[R any](f *cliFlags, line func(R) string) func(done, total int, r R) {
+	if !f.progress {
+		return nil
+	}
+	return func(done, total int, r R) { fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, line(r)) }
+}
+
+// parseList parses every token of a comma-separated flag value whole.
+// *err keeps the first bad token, so a runner parses all its lists and
+// checks once.
+func parseList[T any](err *error, name, value string, parse func(string) (T, error)) []T {
+	var out []T
+	for _, tok := range splitList(value) {
+		v, perr := parse(tok)
+		if perr != nil && *err == nil {
+			*err = fmt.Errorf("bad -%s entry %q: %w", name, tok, perr)
 		}
-	} else {
-		rep.Render(os.Stdout)
+		out = append(out, v)
 	}
-	if rep.Failed() {
-		os.Exit(1)
+	return out
+}
+
+// modelNames resolves -model to registry names ("" keeps the mode's
+// default); *err keeps the first error, as in parseList.
+func modelNames(err *error, value string) []string {
+	if value == "" {
+		return nil
 	}
+	specs, perr := pmodel.Parse(value)
+	if perr != nil && *err == nil {
+		*err = perr
+	}
+	var out []string
+	for _, s := range specs {
+		out = append(out, s.Name)
+	}
+	return out
 }
 
 func splitList(s string) []string {
@@ -542,36 +434,13 @@ func splitList(s string) []string {
 	return out
 }
 
-func kindNames() string {
-	names := make([]string, 0)
-	for _, k := range faultsim.AllKinds() {
-		names = append(names, k.String())
+// names joins the String forms of vs with commas.
+func names[T fmt.Stringer](vs []T) string {
+	var out []string
+	for _, v := range vs {
+		out = append(out, v.String())
 	}
-	return strings.Join(names, ",")
-}
-
-func routerNames() string {
-	names := make([]string, 0)
-	for _, r := range cluster.AllRouters() {
-		names = append(names, r.String())
-	}
-	return strings.Join(names, ",")
-}
-
-func placerNames() string {
-	names := make([]string, 0)
-	for _, p := range cluster.AllPlacers() {
-		names = append(names, p.String())
-	}
-	return strings.Join(names, ",")
-}
-
-func failureNames() string {
-	names := make([]string, 0)
-	for _, k := range cluster.AllFailureKinds() {
-		names = append(names, k.String())
-	}
-	return strings.Join(names, ",")
+	return strings.Join(out, ",")
 }
 
 func fatal(err error) {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"gpulp/internal/parwork"
 )
@@ -56,9 +55,10 @@ type Campaign struct {
 	// Minimize shrinks every failing case to its smallest reproducing
 	// parameters before reporting.
 	Minimize bool
-	// Progress, when non-nil, observes each completed case. With
-	// Parallel > 1 cases complete out of order, so the observation
-	// order is nondeterministic; the Report is not.
+	// Progress, when non-nil, observes each completed case, one call at
+	// a time. At Parallel 1 it sees the cases in sweep order; wider,
+	// cases complete out of order, so the observation order is
+	// nondeterministic; the Report is not.
 	Progress func(done, total int, r Result)
 	// Parallel is the number of host goroutines running cases
 	// concurrently. Every case owns a fresh simulated system and is
@@ -150,72 +150,46 @@ func (c *Campaign) Run() (*Report, error) {
 		models = []string{""}
 	}
 
+	// Flatten the sweep into an ordered case list. Seeds derive from the
+	// (kernel, kind, seed) sweep position — deliberately not from the
+	// model, so every model faces the same fault at the same position and
+	// the cells compare directly.
 	goldens := make(map[string]*Golden, len(kernels))
-	total := 0
-	for _, name := range kernels {
+	var cases []Case
+	for ki, name := range kernels {
 		g, err := GoldenRun(opt, name)
 		if err != nil {
 			return nil, err
 		}
 		goldens[name] = g
-		for _, kind := range kinds {
-			for _, model := range models {
-				if ModelApplicable(model, name, kind) {
-					total += seeds
-				}
-			}
-		}
-	}
-
-	// Flatten the sweep into an ordered case list. Seeds derive from the
-	// (kernel, kind, seed) sweep position exactly as the serial loops
-	// did — deliberately not from the model, so every model faces the
-	// same fault at the same position and the cells compare directly.
-	type caseSpec struct {
-		kernel string
-		c      Case
-	}
-	var specs []caseSpec
-	for ki, name := range kernels {
 		for kj, kind := range kinds {
 			for s := 0; s < seeds; s++ {
-				seed := splitmix(c.BaseSeed ^ splitmix(uint64(ki)<<40|uint64(kj)<<20|uint64(s)))
+				seed := seedAt(c.BaseSeed, uint64(ki)<<40|uint64(kj)<<20|uint64(s))
 				for _, model := range models {
-					if !ModelApplicable(model, name, kind) {
-						continue
+					if ModelApplicable(model, name, kind) {
+						cases = append(cases, Case{Kernel: name, Kind: kind, Seed: seed, Model: model})
 					}
-					specs = append(specs, caseSpec{kernel: name, c: Case{Kernel: name, Kind: kind, Seed: seed, Model: model}})
 				}
 			}
 		}
 	}
 
-	// Run the cases — concurrently when Parallel > 1; each owns a fresh
-	// simulated system and only reads its golden image. Progress fires
-	// as cases complete (completion order is scheduling-dependent).
-	results := make([]Result, len(specs))
-	var progressMu sync.Mutex
-	done := 0
-	parwork.Do(len(specs), c.Parallel, func(i int) {
-		res := RunCase(opt, specs[i].c, goldens[specs[i].kernel])
-		results[i] = res
-		if c.Progress != nil {
-			progressMu.Lock()
-			done++
-			c.Progress(done, total, res)
-			progressMu.Unlock()
-		}
-	})
+	// Each case owns a fresh simulated system and only reads its golden
+	// image.
+	results := parwork.Map(cases, c.Parallel, func(cs Case) Result {
+		return RunCase(opt, cs, goldens[cs.Kernel])
+	}, c.Progress)
 
 	// Aggregate in sweep order, reproducing the serial report exactly.
-	rep := &Report{Total: total}
+	rep := &Report{Total: len(results)}
 	cells := map[string]*KindSummary{}
 	cellCycles := map[string]int64{}
-	for i, res := range results {
-		key := specs[i].c.Model + "/" + specs[i].kernel + "/" + specs[i].c.Kind.String()
+	for _, res := range results {
+		cs := res.Case
+		key := cs.Model + "/" + cs.Kernel + "/" + cs.Kind.String()
 		cell, ok := cells[key]
 		if !ok {
-			cell = &KindSummary{Model: specs[i].c.Model, Kernel: specs[i].kernel, Kind: specs[i].c.Kind.String(), MaxTier: "selective"}
+			cell = &KindSummary{Model: cs.Model, Kernel: cs.Kernel, Kind: cs.Kind.String(), MaxTier: "selective"}
 			cells[key] = cell
 		}
 		cell.Cases++
@@ -244,7 +218,7 @@ func (c *Campaign) Run() (*Report, error) {
 		if res.Outcome.Failed() {
 			rep.Failures = append(rep.Failures, res)
 			if c.Minimize {
-				rep.Minimized = append(rep.Minimized, MinimizeCase(opt, res, goldens[specs[i].kernel]))
+				rep.Minimized = append(rep.Minimized, MinimizeCase(opt, res, goldens[cs.Kernel]))
 			}
 		}
 	}

@@ -56,9 +56,9 @@ func TestClusterCampaignAcceptance(t *testing.T) {
 // reproducible, and re-execution actually happened.
 func TestClusterCampaignCaseShape(t *testing.T) {
 	c := smallClusterCampaign(1)
-	cs := ClusterCase{Devices: 2, Kind: cluster.FailStop, Router: cluster.RoundRobin, Seed: 0xabcdef}
-	r1 := c.RunClusterCase(cs)
-	if r1.Outcome != ClusterRecovered {
+	cs := FailoverCase{Devices: 2, Replicas: 1, Kind: cluster.FailStop, Router: cluster.RoundRobin, Model: "lp", Seed: 0xabcdef}
+	r1 := c.RunFailoverCase(cs)
+	if r1.Outcome != FailoverRecovered {
 		t.Fatalf("case did not recover: %+v", r1)
 	}
 	if r1.FailJob < 0 || r1.FailJob >= c.Jobs {
@@ -70,7 +70,10 @@ func TestClusterCampaignCaseShape(t *testing.T) {
 	if r1.ReexecutedBlocks < 1 {
 		t.Fatalf("recovery re-executed no blocks: %+v", r1)
 	}
-	r2 := c.RunClusterCase(cs)
+	if r1.Adopted != 0 {
+		t.Fatalf("unreplicated case claims %d adoptions: %+v", r1.Adopted, r1)
+	}
+	r2 := c.RunFailoverCase(cs)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("same case diverged:\n%+v\n%+v", r1, r2)
 	}

@@ -311,6 +311,11 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// seedAt derives a case seed from a campaign's base seed and the case's
+// sweep position; each engine packs its own axes into pos, so every
+// case is reproducible from its position alone.
+func seedAt(base, pos uint64) uint64 { return splitmix(base ^ splitmix(pos)) }
+
 // RunCase executes one fault-injection case end to end: run the kernel
 // under LP, inject the fault at its seeded point, recover with hardened
 // escalation, and compare the durable image against golden. It never

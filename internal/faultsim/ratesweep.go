@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"gpulp/internal/core"
 	"gpulp/internal/gpusim"
@@ -213,32 +212,19 @@ func (s *RateSweep) Run() (*RateReport, error) {
 	var specs []spec
 	for ri, rate := range s.Rates {
 		for si := 0; si < s.Seeds; si++ {
-			seed := splitmix(s.BaseSeed ^ splitmix(uint64(ri)<<32|uint64(si)))
-			specs = append(specs, spec{rate: rate, seed: seed})
+			specs = append(specs, spec{rate, seedAt(s.BaseSeed, uint64(ri)<<32|uint64(si))})
 		}
 	}
+	results := parwork.Map(specs, s.Parallel, func(sp spec) RateResult {
+		return s.RunRateCase(sp.rate, sp.seed)
+	}, s.Progress)
 
-	results := make([]RateResult, len(specs))
-	var progressMu sync.Mutex
-	done := 0
-	parwork.Do(len(specs), s.Parallel, func(i int) {
-		res := s.RunRateCase(specs[i].rate, specs[i].seed)
-		results[i] = res
-		if s.Progress != nil {
-			progressMu.Lock()
-			done++
-			s.Progress(done, len(specs), res)
-			progressMu.Unlock()
-		}
-	})
-
-	rep := &RateReport{StuckFrac: s.StuckFrac, Total: len(specs)}
+	rep := &RateReport{StuckFrac: s.StuckFrac, Total: len(results)}
 	for ri, rate := range s.Rates {
 		pt := RatePoint{TransientPerWrite: rate, StuckPerWrite: rate * s.StuckFrac}
 		var healed, uncorrectable, quarantined, attempts int64
 		var coverage float64
-		for si := 0; si < s.Seeds; si++ {
-			res := results[ri*s.Seeds+si]
+		for _, res := range results[ri*s.Seeds : (ri+1)*s.Seeds] {
 			pt.Cases++
 			healed += res.ScrubHealed
 			uncorrectable += int64(res.Uncorrectable)

@@ -91,9 +91,9 @@ func TestReplicaCampaignWriteAmplification(t *testing.T) {
 // and reproducible, and adoption carried the whole repair.
 func TestReplicaCampaignCaseShape(t *testing.T) {
 	c := smallReplicaCampaign(1)
-	cs := ReplicaCase{Replicas: 2, Kind: cluster.FailStop, Placer: cluster.Spread, Model: "lp", Seed: 0xabcdef}
-	r1 := c.RunReplicaCase(cs)
-	if r1.Outcome != ReplicaAdopted {
+	cs := FailoverCase{Devices: c.Devices, Replicas: 2, Kind: cluster.FailStop, Placer: cluster.Spread, Model: "lp", Seed: 0xabcdef}
+	r1 := c.RunFailoverCase(cs)
+	if r1.Outcome != FailoverAdopted {
 		t.Fatalf("case did not adopt: %+v", r1)
 	}
 	if r1.FailJob < 0 || r1.FailJob >= c.Jobs {
@@ -108,7 +108,7 @@ func TestReplicaCampaignCaseShape(t *testing.T) {
 	if r1.ReplicaLaunches == 0 {
 		t.Fatalf("no replica launches recorded: %+v", r1)
 	}
-	r2 := c.RunReplicaCase(cs)
+	r2 := c.RunFailoverCase(cs)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("same case diverged:\n%+v\n%+v", r1, r2)
 	}

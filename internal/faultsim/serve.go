@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync"
 
 	"gpulp/internal/parwork"
 	"gpulp/internal/pmodel"
@@ -176,39 +175,20 @@ func (c *ServeCampaign) Run() (*ServeReport, error) {
 		}
 	}
 
-	var specs []ServeCase
+	var cases []ServeCase
 	for mi, m := range c.Models {
 		for si := 0; si < c.Seeds; si++ {
-			pos := uint64(mi)<<32 | uint64(si)
-			specs = append(specs, ServeCase{
-				Model: m,
-				Seed:  splitmix(c.BaseSeed ^ splitmix(pos)),
-			})
+			cases = append(cases, ServeCase{Model: m, Seed: seedAt(c.BaseSeed, uint64(mi)<<32|uint64(si))})
 		}
 	}
+	results := parwork.Map(cases, c.Parallel, c.RunServeCase, c.Progress)
 
-	results := make([]ServeResult, len(specs))
-	var progressMu sync.Mutex
-	done := 0
-	parwork.Do(len(specs), c.Parallel, func(i int) {
-		res := c.RunServeCase(specs[i])
-		results[i] = res
-		if c.Progress != nil {
-			progressMu.Lock()
-			done++
-			c.Progress(done, len(specs), res)
-			progressMu.Unlock()
-		}
-	})
-
-	rep := &ServeReport{Total: len(specs)}
-	i := 0
-	for _, m := range c.Models {
-		cell := ServeCell{Model: m}
+	// Every Seeds consecutive results form one model's cell.
+	rep := &ServeReport{Total: len(results)}
+	for i := 0; i < len(results); i += c.Seeds {
+		cell := ServeCell{Model: results[i].Case.Model}
 		var recovery, launches int64
-		for si := 0; si < c.Seeds; si++ {
-			res := results[i]
-			i++
+		for _, res := range results[i : i+c.Seeds] {
 			cell.Cases++
 			recovery += res.RecoveryCycles
 			launches += int64(res.Launches)

@@ -1,5 +1,5 @@
 // Package parwork is the minimal indexed worker pool shared by the
-// harness and the fault-injection campaign engine. Both fan independent
+// harness and the fault-injection campaign engines. Both fan independent
 // jobs (experiment runs, campaign cases) across host goroutines and then
 // aggregate results serially in job order, so parallel execution changes
 // wall-clock time but never any reported number.
@@ -45,4 +45,24 @@ func Do(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Map is Do over items: it returns fn(item) for every item, in item
+// order, whatever the completion order. progress, when non-nil, observes
+// each result as it completes, one call at a time, with done counting
+// from 1 to len(items); at workers <= 1 it sees the items in order.
+func Map[T, R any](items []T, workers int, fn func(T) R, progress func(done, total int, r R)) []R {
+	out := make([]R, len(items))
+	var mu sync.Mutex
+	done := 0
+	Do(len(items), workers, func(i int) {
+		out[i] = fn(items[i])
+		if progress != nil {
+			mu.Lock()
+			done++
+			progress(done, len(items), out[i])
+			mu.Unlock()
+		}
+	})
+	return out
 }

@@ -1,19 +1,11 @@
 package serve
 
-import (
-	"fmt"
-	"math"
+import "fmt"
 
-	"gpulp/internal/core"
-	"gpulp/internal/gpusim"
-	"gpulp/internal/memsim"
-	"gpulp/internal/pmodel"
-)
-
-// cluster.go is the cluster-backed serving loop: the same virtual-time
-// front end as Run, but every batch launches on every alive device of a
-// small fleet, so each device's durable store is a full replica of the
-// service state. Losing a device mid-serving therefore costs nothing to
+// cluster.go configures cluster-backed serving: the serving loop
+// (server.go) over a fleet of several devices. Every batch launches on
+// every alive device, so each device's durable store is a full replica
+// of the service state. Losing a device mid-serving therefore costs nothing to
 // repair — the batch in flight is already complete on the survivors
 // (adoption), and serving continues in degraded mode, shedding
 // bulk-class arrivals before interactive ones until the run ends. Only
@@ -147,78 +139,10 @@ func (rep *ClusterReport) String() string {
 		rep.RetriesUsed, rep.RetryBackoffCycles)
 }
 
-// clusterDevice is one fleet member's full replica stack.
-type clusterDevice struct {
-	id   int
-	mem  *memsim.Memory
-	dev  *gpusim.Device
-	w    *batchWorkload
-	l    *launcher
-	free int64
-	dead bool
-}
-
 // ClusterRunResult is a finished cluster serving run.
 type ClusterRunResult struct {
 	Report *ClusterReport
-	nodes  []*clusterDevice
-	ledger *Ledger
-
-	observed [][]byte
-}
-
-// lowestAlive returns the smallest-id alive device — the canonical
-// replica results and snapshots are read from. At least one device is
-// always alive (a last-device failure either recovers or errors out).
-func (r *ClusterRunResult) lowestAlive() *clusterDevice {
-	for _, d := range r.nodes {
-		if !d.dead {
-			return d
-		}
-	}
-	panic("serve: cluster run finished with no alive device")
-}
-
-// Outputs snapshots the canonical replica's durable output regions.
-func (r *ClusterRunResult) Outputs() [][]byte {
-	d := r.lowestAlive()
-	var out [][]byte
-	for _, reg := range d.w.Outputs() {
-		out = append(out, d.mem.PeekNVM(reg.Base, reg.Size))
-	}
-	return out
-}
-
-// Observed returns the durable snapshot taken at ObserveAtLaunch.
-func (r *ClusterRunResult) Observed() [][]byte { return r.observed }
-
-// Ledger exposes the admission ledger.
-func (r *ClusterRunResult) Ledger() *Ledger { return r.ledger }
-
-// VerifyLedger checks every alive replica's durable store against the
-// admission ledger — the replicas must agree with the acknowledged
-// request stream and therefore with each other.
-func (r *ClusterRunResult) VerifyLedger() error {
-	for _, d := range r.nodes {
-		if d.dead {
-			continue
-		}
-		if err := r.ledger.Verify(d.w.Store()); err != nil {
-			return fmt.Errorf("device %d: %w", d.id, err)
-		}
-	}
-	return nil
-}
-
-// AliveDevices lists the ids still serving at run end.
-func (r *ClusterRunResult) AliveDevices() []int {
-	var out []int
-	for _, d := range r.nodes {
-		if !d.dead {
-			out = append(out, d.id)
-		}
-	}
-	return out
+	fleet
 }
 
 // RunCluster executes one cluster-backed serving run to completion.
@@ -226,232 +150,5 @@ func RunCluster(cfg ClusterConfig) (*ClusterRunResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nodes := make([]*clusterDevice, cfg.Devices)
-	for i := range nodes {
-		mem := memsim.MustNew(cfg.Mem)
-		dev := gpusim.MustNew(cfg.Dev, mem)
-		w := newBatchWorkload(dev, cfg.StoreBuckets, cfg.MaxBatch)
-		nodes[i] = &clusterDevice{id: i, mem: mem, dev: dev, w: w, l: newLauncher(w, cfg.Config)}
-	}
-	gen := NewGenerator(cfg.Config)
-	pol, _ := LookupPolicy(cfg.Policy)
-	policy := pol.New(cfg.Config)
-	bat := NewBatcher(cfg.MaxBatch)
-	ledger := newLedger()
-	grid, blk := nodes[0].w.Geometry()
-
-	stats := make([]classStats, len(cfg.Classes))
-	rep := &ClusterReport{
-		Report:  Report{Model: cfg.Model, Policy: cfg.Policy, Seed: cfg.Seed},
-		Devices: cfg.Devices,
-	}
-	if bareModel(cfg.Model) {
-		rep.Model = "none"
-	}
-
-	lineBytes := int64(nodes[0].mem.Config().LineSize)
-	nvmBW := nodes[0].dev.Config().NVMBytesPerCycle
-	lowestAlive := func() *clusterDevice {
-		for _, d := range nodes {
-			if !d.dead {
-				return d
-			}
-		}
-		return nil
-	}
-	aliveCount := func() int {
-		n := 0
-		for _, d := range nodes {
-			if !d.dead {
-				n++
-			}
-		}
-		return n
-	}
-	// fleetFree is when every alive device can accept the next batch;
-	// the fleet launches in lockstep so the replicas stay in the same
-	// epoch.
-	fleetFree := func() int64 {
-		var free int64
-		for _, d := range nodes {
-			if !d.dead && d.free > free {
-				free = d.free
-			}
-		}
-		return free
-	}
-	snapshot := func() [][]byte {
-		d := lowestAlive()
-		var out [][]byte
-		for _, reg := range d.w.Outputs() {
-			out = append(out, d.mem.PeekNVM(reg.Base, reg.Size))
-		}
-		return out
-	}
-	var observed [][]byte
-
-	injectFail := cfg.FailRecoveryAttempts
-	degraded := false
-
-	var now int64
-	arr, arrOK := gen.Next()
-	for {
-		// When would the current queue launch?
-		tLaunch := int64(math.MaxInt64)
-		if bat.Len() >= cfg.MaxBatch {
-			tLaunch = maxI64(now, fleetFree())
-		} else if bat.Len() > 0 {
-			tLaunch = maxI64(bat.OldestAdmit()+cfg.MaxWaitCycles, fleetFree())
-			if !arrOK {
-				tLaunch = maxI64(now, fleetFree())
-			}
-		}
-
-		if arrOK && (tLaunch == int64(math.MaxInt64) || arr.Arrival < tLaunch) {
-			now = maxI64(now, arr.Arrival)
-			st := &stats[arr.Class]
-			st.offered++
-			switch {
-			case degraded && arr.Class >= cfg.DegradedKeepClasses:
-				// Degraded mode sheds the lower-priority classes at the
-				// door, before the admission policy sees them, keeping
-				// the surviving capacity for the leading (interactive)
-				// classes.
-				st.dropped++
-				rep.DegradedSheds++
-				ledger.drop(arr)
-				if cfg.Clients[arr.Client].Closed {
-					gen.Complete(arr.Client, arr.Arrival)
-				}
-			case policy.Admit(arr.Arrival, arr):
-				st.admitted++
-				bat.Add(arr, arr.Arrival)
-			default:
-				st.dropped++
-				ledger.drop(arr)
-				if cfg.Clients[arr.Client].Closed {
-					gen.Complete(arr.Client, arr.Arrival)
-				}
-			}
-			arr, arrOK = gen.Next()
-			continue
-		}
-		if tLaunch == int64(math.MaxInt64) {
-			break
-		}
-
-		// Launch the batch on every alive device.
-		now = tLaunch
-		batch := bat.Take()
-		rep.Launches++
-		done := now
-		for _, d := range nodes {
-			if d.dead {
-				continue
-			}
-			d.w.SetBatch(batch)
-			d.l.beginEpoch(rep.Launches)
-			if cfg.FailAtLaunch == rep.Launches && d.id == cfg.FailDevice {
-				after := cfg.FailAfterBlocks
-				if after <= 0 {
-					after = 1
-				}
-				mem := d.mem
-				d.dev.SetCrashTrigger(&gpusim.CrashTrigger{
-					AfterBlocks: after,
-					Fire:        func(*gpusim.Device) { mem.Crash() },
-				})
-			}
-			res := d.dev.Launch(fmt.Sprintf("megakv-serve#%d", rep.Launches), grid, blk, d.l.kernel)
-			busy := cfg.LaunchOverheadCycles + res.Cycles
-			rep.BusyCycles += res.Cycles
-			if res.Interrupted {
-				if aliveCount() > 1 {
-					// Survivors already carry this batch bit-for-bit:
-					// adopt their copy and drop the device. No recovery
-					// launch, no stall — the whole point of replication.
-					d.dead = true
-					degraded = true
-					rep.DeadDevices = append(rep.DeadDevices, d.id)
-					rep.AdoptedBatches++
-					continue
-				}
-				// Last device alive: recover in place under the bounded
-				// retry/backoff budget.
-				if d.l.model == nil {
-					return nil, fmt.Errorf("%w: crash injected without a persistency model", ErrConfig)
-				}
-				var rrep pmodel.Report
-				var rerr error
-				for attempt := 1; attempt <= cfg.MaxRetries; attempt++ {
-					if attempt > 1 {
-						backoff := cfg.RetryBackoffCycles << uint(attempt-2)
-						busy += backoff
-						rep.RetryBackoffCycles += backoff
-						rep.RetriesUsed++
-					}
-					if injectFail > 0 {
-						injectFail--
-						rerr = fmt.Errorf("serve: injected recovery fault (attempt %d): %w", attempt, core.ErrDegraded)
-						continue
-					}
-					rrep, rerr = d.l.model.Recover()
-					if rerr == nil {
-						break
-					}
-				}
-				if rerr != nil {
-					return nil, fmt.Errorf("serve: recovery after launch %d exhausted %d attempts: %w",
-						rep.Launches, cfg.MaxRetries, rerr)
-				}
-				rep.Recoveries++
-				rep.RecoveryCycles += rrep.Cycles
-				busy += rrep.Cycles
-			}
-			lines := int64(d.mem.FlushAll())
-			drain := int64(math.Ceil(float64(lines*lineBytes) / nvmBW))
-			rep.DrainCycles += drain
-			busy += drain
-			d.free = now + busy
-			if d.free > done {
-				done = d.free
-			}
-		}
-		if cfg.ObserveAtLaunch == rep.Launches {
-			observed = snapshot()
-		}
-
-		// The batch completes when the slowest alive replica has drained
-		// it — acknowledgements wait for fleet-wide durability.
-		if done > rep.EndCycle {
-			rep.EndCycle = done
-		}
-		src := lowestAlive()
-		for i, p := range batch {
-			if err := ledger.apply(p.req, src.w.Result(i)); err != nil {
-				return nil, fmt.Errorf("serve: launch %d slot %d (%v key %#x): %w",
-					rep.Launches, i, p.req.Op, p.req.Key, err)
-			}
-			st := &stats[p.req.Class]
-			st.completed++
-			if src.w.Result(i) == ResultOverflow && p.req.Op == OpInsert {
-				st.overflows++
-			}
-			lat := done - p.req.Arrival
-			st.latencies = append(st.latencies, lat)
-			if lat <= cfg.Classes[p.req.Class].BudgetCycles {
-				st.onTime++
-			}
-			gen.Complete(p.req.Client, done)
-		}
-		if !arrOK {
-			arr, arrOK = gen.Next()
-		}
-	}
-	if rep.EndCycle < now {
-		rep.EndCycle = now
-	}
-
-	rep.fillClasses(cfg.Config, stats)
-	return &ClusterRunResult{Report: rep, nodes: nodes, ledger: ledger, observed: observed}, nil
+	return runFleet(cfg)
 }

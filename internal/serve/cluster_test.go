@@ -24,15 +24,6 @@ func mustRunCluster(t *testing.T, cfg ClusterConfig) *ClusterRunResult {
 	return r
 }
 
-// replicaImages snapshots one device's durable output regions.
-func replicaImages(d *clusterDevice) [][]byte {
-	var out [][]byte
-	for _, reg := range d.w.Outputs() {
-		out = append(out, d.mem.PeekNVM(reg.Base, reg.Size))
-	}
-	return out
-}
-
 // TestClusterSingleDeviceMatchesRun pins that a one-device cluster is
 // the plain serving loop, byte for byte: same report, same durable
 // outputs.
@@ -70,9 +61,9 @@ func TestClusterCleanReplication(t *testing.T) {
 	if r.Report.AdoptedBatches != 0 || r.Report.DegradedSheds != 0 || len(r.Report.DeadDevices) != 0 {
 		t.Fatalf("clean run reported degradation: %+v", r.Report)
 	}
-	base := replicaImages(r.nodes[0])
+	base := r.nodes[0].outputs()
 	for _, d := range r.nodes[1:] {
-		imgs := replicaImages(d)
+		imgs := d.outputs()
 		for i := range base {
 			if !bytes.Equal(base[i], imgs[i]) {
 				t.Fatalf("device %d output region %d diverged from device 0", d.id, i)
@@ -106,8 +97,8 @@ func TestClusterAdoptionOnFailure(t *testing.T) {
 	if got := r.AliveDevices(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("expected devices [0 2] alive, got %v", got)
 	}
-	base := replicaImages(r.nodes[0])
-	imgs := replicaImages(r.nodes[2])
+	base := r.nodes[0].outputs()
+	imgs := r.nodes[2].outputs()
 	for i := range base {
 		if !bytes.Equal(base[i], imgs[i]) {
 			t.Fatalf("surviving replicas diverged in output region %d", i)

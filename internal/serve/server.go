@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"gpulp/internal/core"
 	"gpulp/internal/gpusim"
 	"gpulp/internal/memsim"
 	"gpulp/internal/pmodel"
@@ -12,9 +13,11 @@ import (
 // server.go is the deterministic virtual-time serving loop. One pass
 // interleaves three event sources — arrivals (generator + admission),
 // launch deadlines (batcher), and completions (kernel launch + recovery
-// + epoch drain) — on a single cycle clock. The device serves one batch
-// at a time; requests admitted while it is busy queue for the next
-// launch, which is where batching-under-load comes from.
+// + epoch drain) — on a single cycle clock. The loop serves a fleet of
+// one or more devices in lockstep, one batch at a time: Run is the
+// one-device fleet, RunCluster (cluster.go) a replicated one. Requests
+// admitted while the fleet is busy queue for the next launch, which is
+// where batching-under-load comes from.
 //
 // Epoch discipline: every batch boundary is a persistency epoch. After a
 // launch, the cache's dirty lines are drained to NVM (charged at NVM
@@ -183,86 +186,174 @@ func (l *Ledger) Verify(store interface {
 	return nil
 }
 
-// RunResult is a finished serving run: the report plus the handles the
-// crash campaign and the determinism pins verify against.
-type RunResult struct {
-	Report *Report
-	mem    *memsim.Memory
-	w      *batchWorkload
-	ledger *Ledger
-
-	observed [][]byte
+// node is one fleet member's full replica stack.
+type node struct {
+	id   int
+	mem  *memsim.Memory
+	dev  *gpusim.Device
+	w    *batchWorkload
+	l    *launcher
+	free int64
+	dead bool
 }
 
-// Outputs snapshots the durable bytes of every persistent output region
-// (results, then the store) — the bit-exactness witness.
-func (r *RunResult) Outputs() [][]byte {
+// outputs snapshots the device's durable output regions (results, then
+// the store).
+func (d *node) outputs() [][]byte {
 	var out [][]byte
-	for _, reg := range r.w.Outputs() {
-		out = append(out, r.mem.PeekNVM(reg.Base, reg.Size))
+	for _, reg := range d.w.Outputs() {
+		out = append(out, d.mem.PeekNVM(reg.Base, reg.Size))
 	}
 	return out
 }
 
+// fleet is what a finished serving run leaves behind: its devices, the
+// admission ledger, and the durable snapshot taken at ObserveAtLaunch.
+// RunResult and ClusterRunResult both embed it.
+type fleet struct {
+	nodes    []*node
+	ledger   *Ledger
+	observed [][]byte
+}
+
+// lowestAlive returns the smallest-id alive device — the canonical
+// replica results and snapshots are read from. At least one device is
+// always alive (a last-device failure either recovers or errors out).
+func (f fleet) lowestAlive() *node {
+	for _, d := range f.nodes {
+		if !d.dead {
+			return d
+		}
+	}
+	panic("serve: fleet has no alive device")
+}
+
+// Outputs snapshots the canonical replica's durable output regions —
+// the bit-exactness witness.
+func (f fleet) Outputs() [][]byte { return f.lowestAlive().outputs() }
+
 // Observed returns the durable output snapshot taken at
 // Config.ObserveAtLaunch (nil when unset or never reached).
-func (r *RunResult) Observed() [][]byte { return r.observed }
-
-// VerifyLedger checks the durable store against the admission ledger.
-func (r *RunResult) VerifyLedger() error { return r.ledger.Verify(r.w.Store()) }
+func (f fleet) Observed() [][]byte { return f.observed }
 
 // Ledger exposes the admission ledger.
-func (r *RunResult) Ledger() *Ledger { return r.ledger }
+func (f fleet) Ledger() *Ledger { return f.ledger }
 
-// Run executes one serving run to completion.
+// VerifyLedger checks every alive replica's durable store against the
+// admission ledger — the replicas must agree with the acknowledged
+// request stream and therefore with each other.
+func (f fleet) VerifyLedger() error {
+	for _, d := range f.nodes {
+		if d.dead {
+			continue
+		}
+		if err := f.ledger.Verify(d.w.Store()); err != nil {
+			return fmt.Errorf("device %d: %w", d.id, err)
+		}
+	}
+	return nil
+}
+
+// AliveDevices lists the ids still serving at run end.
+func (f fleet) AliveDevices() []int {
+	var out []int
+	for _, d := range f.nodes {
+		if !d.dead {
+			out = append(out, d.id)
+		}
+	}
+	return out
+}
+
+// RunResult is a finished single-device serving run: the report plus
+// the handles the crash campaign and the determinism pins verify
+// against.
+type RunResult struct {
+	Report *Report
+	fleet
+}
+
+// Run executes one single-device serving run to completion. It is the
+// one-device fleet: a CrashAtLaunch fault lands on the fleet's last
+// alive device, which recovers in place with one attempt, and degraded
+// mode (which only a lost replica enters) sheds no class.
 func Run(cfg Config) (*RunResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	mem := memsim.MustNew(cfg.Mem)
-	dev := gpusim.MustNew(cfg.Dev, mem)
-	w := newBatchWorkload(dev, cfg.StoreBuckets, cfg.MaxBatch)
-	l := newLauncher(w, cfg)
-	gen := NewGenerator(cfg)
+	fc := ClusterConfig{
+		Config:              cfg,
+		Devices:             1,
+		FailAtLaunch:        cfg.CrashAtLaunch,
+		FailAfterBlocks:     cfg.CrashAfterBlocks,
+		MaxRetries:          1,
+		DegradedKeepClasses: len(cfg.Classes),
+	}
+	fc.CrashAtLaunch, fc.CrashAfterBlocks = 0, 0
+	res, err := runFleet(fc)
+	if err != nil {
+		return nil, err
+	}
+	return &RunResult{Report: &res.Report.Report, fleet: res.fleet}, nil
+}
+
+// runFleet is the serving loop over a validated fleet configuration.
+// Every batch launches on every alive device, and the batch completes
+// when the slowest of them has drained it.
+func runFleet(cfg ClusterConfig) (*ClusterRunResult, error) {
+	nodes := make([]*node, cfg.Devices)
+	for i := range nodes {
+		mem := memsim.MustNew(cfg.Mem)
+		dev := gpusim.MustNew(cfg.Dev, mem)
+		w := newBatchWorkload(dev, cfg.StoreBuckets, cfg.MaxBatch)
+		nodes[i] = &node{id: i, mem: mem, dev: dev, w: w, l: newLauncher(w, cfg.Config)}
+	}
+	f := fleet{nodes: nodes, ledger: newLedger()}
+	gen := NewGenerator(cfg.Config)
 	pol, _ := LookupPolicy(cfg.Policy)
-	policy := pol.New(cfg)
+	policy := pol.New(cfg.Config)
 	bat := NewBatcher(cfg.MaxBatch)
-	ledger := newLedger()
-	grid, blk := w.Geometry()
+	grid, blk := nodes[0].w.Geometry()
 
 	stats := make([]classStats, len(cfg.Classes))
-	rep := &Report{
-		Model:  cfg.Model,
-		Policy: cfg.Policy,
-		Seed:   cfg.Seed,
+	rep := &ClusterReport{
+		Report:  Report{Model: cfg.Model, Policy: cfg.Policy, Seed: cfg.Seed},
+		Devices: cfg.Devices,
 	}
 	if bareModel(cfg.Model) {
 		rep.Model = "none"
 	}
 
-	lineBytes := int64(mem.Config().LineSize)
-	nvmBW := dev.Config().NVMBytesPerCycle
-	snapshot := func() [][]byte {
-		var out [][]byte
-		for _, reg := range w.Outputs() {
-			out = append(out, mem.PeekNVM(reg.Base, reg.Size))
+	lineBytes := int64(nodes[0].mem.Config().LineSize)
+	nvmBW := nodes[0].dev.Config().NVMBytesPerCycle
+	// fleetFree is when every alive device can accept the next batch;
+	// the fleet launches in lockstep so the replicas stay in the same
+	// epoch.
+	fleetFree := func() int64 {
+		var free int64
+		for _, d := range nodes {
+			if !d.dead && d.free > free {
+				free = d.free
+			}
 		}
-		return out
+		return free
 	}
-	var observed [][]byte
 
-	var now, devFree int64
+	injectFail := cfg.FailRecoveryAttempts
+	degraded := false
+
+	var now int64
 	arr, arrOK := gen.Next()
 	for {
 		// When would the current queue launch?
 		tLaunch := int64(math.MaxInt64)
 		if bat.Len() >= cfg.MaxBatch {
-			tLaunch = maxI64(now, devFree)
+			tLaunch = maxI64(now, fleetFree())
 		} else if bat.Len() > 0 {
-			tLaunch = maxI64(bat.OldestAdmit()+cfg.MaxWaitCycles, devFree)
+			tLaunch = maxI64(bat.OldestAdmit()+cfg.MaxWaitCycles, fleetFree())
 			if !arrOK {
 				// No arrival can precede the deadline: drain immediately.
-				tLaunch = maxI64(now, devFree)
+				tLaunch = maxI64(now, fleetFree())
 			}
 		}
 
@@ -273,12 +364,24 @@ func Run(cfg Config) (*RunResult, error) {
 			now = maxI64(now, arr.Arrival)
 			st := &stats[arr.Class]
 			st.offered++
-			if policy.Admit(arr.Arrival, arr) {
+			switch {
+			case degraded && arr.Class >= cfg.DegradedKeepClasses:
+				// Degraded mode sheds the lower-priority classes at the
+				// door, before the admission policy sees them, keeping
+				// the surviving capacity for the leading (interactive)
+				// classes.
+				st.dropped++
+				rep.DegradedSheds++
+				f.ledger.drop(arr)
+				if cfg.Clients[arr.Client].Closed {
+					gen.Complete(arr.Client, arr.Arrival)
+				}
+			case policy.Admit(arr.Arrival, arr):
 				st.admitted++
 				bat.Add(arr, arr.Arrival)
-			} else {
+			default:
 				st.dropped++
-				ledger.drop(arr)
+				f.ledger.drop(arr)
 				if cfg.Clients[arr.Client].Closed {
 					// A shed closed-loop request completes instantly
 					// from the client's point of view.
@@ -292,60 +395,103 @@ func Run(cfg Config) (*RunResult, error) {
 			break // no queue, no scheduled arrivals, nothing in flight
 		}
 
-		// Launch one batch.
+		// Launch the batch on every alive device.
 		now = tLaunch
 		batch := bat.Take()
 		rep.Launches++
-		w.SetBatch(batch)
-		l.beginEpoch(rep.Launches)
-		if cfg.CrashAtLaunch == rep.Launches {
-			after := cfg.CrashAfterBlocks
-			if after <= 0 {
-				after = 1
+		done := now
+		for _, d := range nodes {
+			if d.dead {
+				continue
 			}
-			dev.SetCrashTrigger(&gpusim.CrashTrigger{
-				AfterBlocks: after,
-				Fire:        func(*gpusim.Device) { mem.Crash() },
-			})
+			d.w.SetBatch(batch)
+			d.l.beginEpoch(rep.Launches)
+			if cfg.FailAtLaunch == rep.Launches && d.id == cfg.FailDevice {
+				after := cfg.FailAfterBlocks
+				if after <= 0 {
+					after = 1
+				}
+				mem := d.mem
+				d.dev.SetCrashTrigger(&gpusim.CrashTrigger{
+					AfterBlocks: after,
+					Fire:        func(*gpusim.Device) { mem.Crash() },
+				})
+			}
+			res := d.dev.Launch(fmt.Sprintf("megakv-serve#%d", rep.Launches), grid, blk, d.l.kernel)
+			busy := cfg.LaunchOverheadCycles + res.Cycles
+			rep.BusyCycles += res.Cycles
+			if res.Interrupted {
+				if len(f.AliveDevices()) > 1 {
+					// Survivors already carry this batch bit-for-bit:
+					// adopt their copy and drop the device. No recovery
+					// launch, no stall — the whole point of replication.
+					d.dead = true
+					degraded = true
+					rep.DeadDevices = append(rep.DeadDevices, d.id)
+					rep.AdoptedBatches++
+					continue
+				}
+				// Last device alive: recover in place under the bounded
+				// retry/backoff budget.
+				if d.l.model == nil {
+					return nil, fmt.Errorf("%w: crash injected without a persistency model", ErrConfig)
+				}
+				var rrep pmodel.Report
+				var rerr error
+				for attempt := 1; attempt <= cfg.MaxRetries; attempt++ {
+					if attempt > 1 {
+						backoff := cfg.RetryBackoffCycles << uint(attempt-2)
+						busy += backoff
+						rep.RetryBackoffCycles += backoff
+						rep.RetriesUsed++
+					}
+					if injectFail > 0 {
+						injectFail--
+						rerr = fmt.Errorf("serve: injected recovery fault (attempt %d): %w", attempt, core.ErrDegraded)
+						continue
+					}
+					rrep, rerr = d.l.model.Recover()
+					if rerr == nil {
+						break
+					}
+				}
+				if rerr != nil {
+					return nil, fmt.Errorf("serve: recovery after launch %d exhausted %d attempts: %w",
+						rep.Launches, cfg.MaxRetries, rerr)
+				}
+				rep.Recoveries++
+				rep.RecoveryCycles += rrep.Cycles
+				busy += rrep.Cycles
+			}
+			// Epoch drain: push every dirty line to NVM so this batch
+			// is durable before its requests are acknowledged.
+			lines := int64(d.mem.FlushAll())
+			drain := int64(math.Ceil(float64(lines*lineBytes) / nvmBW))
+			rep.DrainCycles += drain
+			busy += drain
+			d.free = now + busy
+			if d.free > done {
+				done = d.free
+			}
 		}
-		res := dev.Launch(fmt.Sprintf("megakv-serve#%d", rep.Launches), grid, blk, l.kernel)
-		busy := cfg.LaunchOverheadCycles + res.Cycles
-		rep.BusyCycles += res.Cycles
-		if res.Interrupted {
-			if l.model == nil {
-				return nil, fmt.Errorf("%w: crash injected without a persistency model", ErrConfig)
-			}
-			rrep, rerr := l.model.Recover()
-			if rerr != nil {
-				return nil, fmt.Errorf("serve: recovery after launch %d: %w", rep.Launches, rerr)
-			}
-			rep.Recoveries++
-			rep.RecoveryCycles += rrep.Cycles
-			busy += rrep.Cycles
-		}
-		// Epoch drain: push every dirty line to NVM so this batch is
-		// durable before its requests are acknowledged.
-		lines := int64(mem.FlushAll())
-		drain := int64(math.Ceil(float64(lines*lineBytes) / nvmBW))
-		rep.DrainCycles += drain
-		busy += drain
 		if cfg.ObserveAtLaunch == rep.Launches {
-			observed = snapshot()
+			f.observed = f.Outputs()
 		}
 
-		done := now + busy
-		devFree = done
+		// The batch completes when the slowest alive replica has drained
+		// it — acknowledgements wait for fleet-wide durability.
 		if done > rep.EndCycle {
 			rep.EndCycle = done
 		}
+		src := f.lowestAlive()
 		for i, p := range batch {
-			if err := ledger.apply(p.req, w.Result(i)); err != nil {
+			if err := f.ledger.apply(p.req, src.w.Result(i)); err != nil {
 				return nil, fmt.Errorf("serve: launch %d slot %d (%v key %#x): %w",
 					rep.Launches, i, p.req.Op, p.req.Key, err)
 			}
 			st := &stats[p.req.Class]
 			st.completed++
-			if w.Result(i) == ResultOverflow && p.req.Op == OpInsert {
+			if src.w.Result(i) == ResultOverflow && p.req.Op == OpInsert {
 				st.overflows++
 			}
 			lat := done - p.req.Arrival
@@ -364,8 +510,8 @@ func Run(cfg Config) (*RunResult, error) {
 		rep.EndCycle = now
 	}
 
-	rep.fillClasses(cfg, stats)
-	return &RunResult{Report: rep, mem: mem, w: w, ledger: ledger, observed: observed}, nil
+	rep.fillClasses(cfg.Config, stats)
+	return &ClusterRunResult{Report: rep, fleet: f}, nil
 }
 
 func maxI64(a, b int64) int64 {
