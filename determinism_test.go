@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -302,6 +303,28 @@ func TestParallelDeterminismSelfHeal(t *testing.T) {
 	}
 	if first.rep.WatchdogAborts == 0 {
 		t.Errorf("planted stuck lock never tripped the watchdog: %+v", first.rep)
+	}
+}
+
+// plainHealReport drops HealReport's String method, so %+v prints every
+// field (FinalScrub keeps its String form, which omits only
+// UncorrectableLines; the pin prints those separately).
+type plainHealReport core.HealReport
+
+// TestSelfHealPinned compares the runSelfHeal fixture's whole heal report
+// and its degraded error text against literal values recorded from the
+// tree: a watchdog-aborted repair, scrub-driven quarantines, and the
+// degraded coverage.
+func TestSelfHealPinned(t *testing.T) {
+	run := runSelfHeal(t)
+	const wantRep = "{Attempts:4 FailedPerAttempt:[32 31 3 0] BackoffCycles:28672 ValidateCycles:1148 RepairCycles:1729 Scrubs:4 ScrubHealed:4 FinalScrub:scrub: 5 scanned, 4 corrupt, 1 healed, 3 uncorrectable WatchdogAborts:1 QuarantinedRegions:[9 16 22 31] QuarantinedLines:[4480 6016 8320] QuarantinedBytes:384 Coverage:0.875 Tier:selective} final-scrub-lines=[4480 6016 8320]"
+	got := fmt.Sprintf("%+v final-scrub-lines=%v", plainHealReport(run.rep), run.rep.FinalScrub.UncorrectableLines)
+	if got != wantRep {
+		t.Errorf("heal report:\n got %s\nwant %s", got, wantRep)
+	}
+	const wantErr = "core: degraded completion: 4 regions quarantined (coverage 0.8750, 3 uncorrectable lines): persistent state degraded: quarantined regions excluded"
+	if run.deg == nil || run.deg.Error() != wantErr {
+		t.Errorf("degraded outcome = %v, want %q", run.deg, wantErr)
 	}
 }
 

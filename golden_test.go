@@ -48,6 +48,13 @@ func TestGolden(t *testing.T) {
 			return rendered(c.Run())
 		}},
 		{"ratesweep", func() (string, any, error) { return rendered(faultsim.DefaultRateSweep(1).Run()) }},
+		{"ratesweep-locks", func() (string, any, error) {
+			s := faultsim.DefaultRateSweep(1)
+			s.Locks = true
+			s.StuckFrac = 0.5
+			s.Rates = []float64{0.05, 0.2, 0.4}
+			return rendered(s.Run())
+		}},
 		{"cluster-campaign", func() (string, any, error) {
 			c := faultsim.DefaultClusterCampaign(1)
 			c.Jobs = 4
