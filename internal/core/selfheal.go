@@ -223,26 +223,25 @@ func (h *healState) suspectBlocks() []int {
 			continue
 		}
 		seen[reg] = true
-		for blk := reg * h.lp.fusion; blk < (reg+1)*h.lp.fusion && blk < h.lp.grid.Size(); blk++ {
-			out = append(out, blk)
-		}
+		out = h.lp.appendRegion(out, reg)
 	}
 	return out
 }
 
-// validate runs one quarantine-aware validation round. A watchdog abort
-// during validation quarantines the culprit and reports ok=false (the
-// round's outcome is untrusted); a store error is fatal.
+// validate runs one quarantine-aware validation round through Validate.
+// A watchdog abort during validation quarantines the culprit and reports
+// ok=false (the round's outcome is untrusted); a store error, or any other
+// interrupted validation launch, is fatal.
 func (h *healState) validate(recompute RecomputeFunc) (failed []int, ok bool, err error) {
 	failed, vres, err := h.lp.Validate(recompute)
 	h.rep.ValidateCycles += vres.Cycles
-	if err != nil {
-		return nil, false, err
-	}
 	if vres.Watchdog != nil {
 		h.rep.WatchdogAborts++
 		h.quarantine(vres.Watchdog.Block / h.lp.fusion)
 		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, err
 	}
 	if suspects := h.suspectBlocks(); len(suspects) > 0 {
 		merged := map[int]bool{}
@@ -258,35 +257,27 @@ func (h *healState) validate(recompute RecomputeFunc) (failed []int, ok bool, er
 	return h.noteValidation(failed), true, nil
 }
 
-// repairSelected re-executes blks and flushes the repairs durable. A
+// repairSelected re-executes blks through the shared repair step. A
 // watchdog abort quarantines the culprit's region and reports false — the
 // hierarchy has been crashed, so the attempt's repairs are lost and the
-// next attempt revalidates from the durable image.
+// next attempt revalidates from the durable image. Any other interrupted
+// launch is fatal, as in every other recovery entry point.
 func (h *healState) repairSelected(name string, blks []int) (bool, error) {
-	lp := h.lp
-	if lp.fusion > 1 && len(blks) > 0 {
-		merger, err := lp.merger()
-		if err != nil {
-			return false, err
-		}
-		seen := map[int]bool{}
-		for _, blk := range blks {
-			if reg := blk / lp.fusion; !seen[reg] {
-				seen[reg] = true
-				merger.HostResetEntry(uint64(reg))
-			}
-		}
-	}
-	rres := lp.dev.LaunchSelected(name, lp.grid, lp.blk, h.kernel, blks)
-	h.rep.RepairCycles += rres.Cycles
-	if rres.Watchdog != nil {
+	res, err := h.lp.repair(name, h.kernel, blks)
+	h.rep.RepairCycles += res.Cycles
+	if res.Watchdog != nil {
 		h.rep.WatchdogAborts++
-		h.quarantine(rres.Watchdog.Block / lp.fusion)
+		h.quarantine(res.Watchdog.Block / h.lp.fusion)
 		return false, nil
 	}
-	lp.dev.Mem().FlushAll()
+	if err == nil && res.Interrupted {
+		err = aborted("repair", res, len(blks))
+	}
+	if err != nil {
+		return false, err
+	}
 	for _, blk := range blks {
-		h.repairedReg[blk/lp.fusion] = true
+		h.repairedReg[blk/h.lp.fusion] = true
 	}
 	return true, nil
 }
@@ -346,30 +337,18 @@ func (lp *LP) SelfHeal(kernel gpusim.KernelFunc, recompute RecomputeFunc, opts H
 	}
 
 	// Escalation tiers over the surviving regions only.
+	var err error
 	if !clean {
 		rep.Tier = TierFullGrid
-		if err := h.fullRepairActive(); err != nil {
-			return h.finish(), err
-		}
-		h.scrub()
-		failed, ok, err := h.validate(recompute)
-		if err != nil {
-			return h.finish(), err
-		}
-		clean = ok && len(failed) == 0
+		clean, err = h.rebuild(recompute)
 	}
-	if !clean && opts.Checkpoint != nil {
+	if err == nil && !clean && opts.Checkpoint != nil {
 		rep.Tier = TierCheckpoint
 		opts.Checkpoint.Restore()
-		if err := h.fullRepairActive(); err != nil {
-			return h.finish(), err
-		}
-		h.scrub()
-		failed, ok, err := h.validate(recompute)
-		if err != nil {
-			return h.finish(), err
-		}
-		clean = ok && len(failed) == 0
+		clean, err = h.rebuild(recompute)
+	}
+	if err != nil {
+		return h.finish(), err
 	}
 
 	rep = h.finish()
@@ -387,25 +366,26 @@ func (lp *LP) SelfHeal(kernel gpusim.KernelFunc, recompute RecomputeFunc, opts H
 	return rep, nil
 }
 
-// fullRepairActive durably clears the checksum store and re-executes every
-// non-quarantined block, retrying (and quarantining the culprit) whenever
-// the watchdog aborts the launch. Each abort strictly grows the quarantine
-// set, so the loop terminates within Regions iterations.
-func (h *healState) fullRepairActive() error {
-	for {
+// rebuild is an escalation tier over the surviving regions: durably
+// clear the checksum store and re-execute every non-quarantined block,
+// retrying (and quarantining the culprit) whenever the watchdog aborts the
+// launch — each abort strictly grows the quarantine set, so the loop
+// terminates within Regions iterations — then scrub and validate once.
+func (h *healState) rebuild(recompute RecomputeFunc) (bool, error) {
+	for ok := false; !ok; {
 		h.lp.st.Clear()
 		active := h.activeBlocks()
 		if len(active) == 0 {
-			return nil
+			break
 		}
-		ok, err := h.repairSelected("lp-heal-full", active)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
+		var err error
+		if ok, err = h.repairSelected("lp-heal-full", active); err != nil {
+			return false, err
 		}
 	}
+	h.scrub()
+	failed, ok, err := h.validate(recompute)
+	return ok && len(failed) == 0, err
 }
 
 // finish freezes the quarantine sets and coverage into the report.

@@ -223,3 +223,28 @@ func TestSelfHealBackoffDeterministic(t *testing.T) {
 		t.Fatalf("backoff = %d cycles over %d attempts, want %d", rep.BackoffCycles, rep.Attempts, want)
 	}
 }
+
+// TestSelfHealInterruptedRepairFatal: a repair launch stopped by anything
+// but the watchdog (here an external abort) ends self-heal with a typed
+// ErrUnrecoverable error, as in every other recovery entry point; only
+// watchdog aborts feed the quarantine.
+func TestSelfHealInterruptedRepairFatal(t *testing.T) {
+	dev := newFaultyDevice(memsim.FaultConfig{}, 0)
+	grid, blk := gpusim.D1(16), gpusim.D1(32)
+	out := dev.Alloc("out", grid.Size()*blk.Size()*4)
+	out.HostZero()
+	lp := New(dev, DefaultConfig(), grid, blk)
+	kernel := fillKernel(out, lp)
+	dev.Launch("fill", grid, blk, kernel)
+	dev.Mem().Crash()
+
+	abortLaunch(dev, "lp-heal")
+	rep, err := lp.SelfHeal(kernel, fillRecompute(out), HealOpts{})
+	const want = "core: repair launch aborted (1/16 blocks): persistent state unrecoverable"
+	if !errors.Is(err, ErrUnrecoverable) || err.Error() != want {
+		t.Fatalf("self-heal outcome = %v, want %q", err, want)
+	}
+	if rep.WatchdogAborts != 0 || len(rep.QuarantinedRegions) != 0 || rep.Attempts != 1 {
+		t.Fatalf("an external abort must not quarantine or retry: %v", rep)
+	}
+}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"gpulp/internal/checksum"
 	"gpulp/internal/gpusim"
-	"gpulp/internal/hashtab"
 )
 
 // Shard recovery: validation and re-execution restricted to a subset of
@@ -14,8 +12,10 @@ import (
 // across devices; when a device is lost mid-launch, a survivor imports
 // the dead device's durable bytes (data slice + checksum table) and
 // repairs only the in-flight shard's blocks — the cross-device selective
-// re-execution the cluster failover protocol is built on. The full-grid
-// Validate/ValidateAndRecover remain the single-device entry points.
+// re-execution the cluster failover protocol is built on. Both entry
+// points are thin contracts on the shared engine in recover.go: the
+// validation body and the round loop take the subset, and the full-grid
+// Validate/ValidateAndRecover run them over the whole grid.
 
 // normalizeBlocks sorts and dedupes a block subset, panicking (like
 // LaunchSelected) on indices outside the grid.
@@ -71,86 +71,10 @@ func (lp *LP) shardRegions(sel []int) ([]int, error) {
 // ErrUnrecoverable — the caller (a cluster failover path) must treat the
 // validating device as failed too.
 func (lp *LP) ValidateBlocks(recompute RecomputeFunc, blocks []int) ([]int, gpusim.LaunchResult, error) {
-	if recompute == nil {
-		return nil, gpusim.LaunchResult{}, fmt.Errorf("core: nil recompute function: %w", ErrStoreCorrupt)
+	if blocks == nil {
+		blocks = []int{} // nil would mean the whole grid to validate
 	}
-	sel := lp.normalizeBlocks(blocks)
-	if len(sel) == 0 {
-		return nil, gpusim.LaunchResult{}, nil
-	}
-	regs, err := lp.shardRegions(sel)
-	if err != nil {
-		return nil, gpusim.LaunchResult{}, err
-	}
-	var merger hashtab.Merger
-	if lp.fusion > 1 {
-		m, err := lp.merger()
-		if err != nil {
-			return nil, gpusim.LaunchResult{}, err
-		}
-		merger = m
-	}
-
-	// Phase 1: the selected blocks recompute their (partial) checksums.
-	perBlock := make([]checksum.State, lp.grid.Size())
-	res := lp.dev.LaunchSelected("lp-shard-validate", lp.grid, lp.blk, func(b *gpusim.Block) {
-		r := lp.Begin(b)
-		recompute(b, r)
-		perBlock[b.LinearIdx] = r.reduce()
-	}, sel)
-	if res.Interrupted {
-		return nil, res, fmt.Errorf("core: shard validation launch aborted (%d/%d blocks): %w",
-			res.Blocks, len(sel), ErrUnrecoverable)
-	}
-	perRegion := make([]checksum.State, lp.regions)
-	for _, b := range sel {
-		perRegion[b/lp.fusion].Merge(perBlock[b])
-	}
-
-	// Phase 2: look up and compare only the covered regions. The lookup
-	// grid assigns one block per region, so selecting region indices runs
-	// exactly the covered regions' comparisons — the same kernel body as
-	// the full-grid Validate.
-	failedMark := make([]bool, lp.regions)
-	lres := lp.dev.LaunchSelected("lp-shard-validate-lookup", gpusim.D1(lp.regions), gpusim.D1(32), func(b *gpusim.Block) {
-		b.ForAll(func(t *gpusim.Thread) {
-			if t.Linear != 0 {
-				return
-			}
-			reg := b.LinearIdx
-			if lp.fusion > 1 {
-				stored, count := merger.LookupCount(t, uint64(reg))
-				if count != uint64(lp.groupSize(reg)) || !stored.Matches(perRegion[reg], lp.cfg.Checksum) {
-					failedMark[reg] = true
-				}
-				return
-			}
-			stored, ok := lp.st.Lookup(t, uint64(reg))
-			if !ok || !stored.Matches(perRegion[reg], lp.cfg.Checksum) {
-				failedMark[reg] = true
-			}
-		})
-	}, regs)
-	res.Cycles += lres.Cycles
-	if lres.Interrupted {
-		return nil, res, fmt.Errorf("core: shard lookup launch aborted: %w", ErrUnrecoverable)
-	}
-
-	var failed []int
-	for _, reg := range regs {
-		if !failedMark[reg] {
-			continue
-		}
-		lo := reg * lp.fusion
-		hi := lo + lp.fusion
-		if hi > lp.grid.Size() {
-			hi = lp.grid.Size()
-		}
-		for blk := lo; blk < hi; blk++ {
-			failed = append(failed, blk)
-		}
-	}
-	return failed, res, nil
+	return lp.validate(recompute, blocks)
 }
 
 // ShardRecoverOpts configures RecoverBlocks.
@@ -178,61 +102,10 @@ func (lp *LP) RecoverBlocks(kernel gpusim.KernelFunc, recompute RecomputeFunc, b
 		maxRounds = 3
 	}
 	var rep RecoveryReport
-	sel := lp.normalizeBlocks(blocks)
-	for round := 0; round < maxRounds; round++ {
-		failed, vres, err := lp.ValidateBlocks(recompute, sel)
-		rep.Rounds++
-		rep.ValidateCycles += vres.Cycles
-		if err != nil {
-			return rep, err
-		}
-		rep.FailedPerRound = append(rep.FailedPerRound, len(failed))
-		if len(failed) == 0 {
-			return rep, nil
-		}
-		if round > 0 && opts.BackoffBase > 0 {
-			rep.BackoffCycles += opts.BackoffBase << (round - 1)
-		}
-		if err := lp.repairBlocks(kernel, failed, &rep); err != nil {
-			return rep, err
-		}
+	clean, err := lp.rounds(kernel, recompute, lp.normalizeBlocks(blocks), maxRounds, opts.BackoffBase, &rep)
+	if err == nil && !clean {
+		err = fmt.Errorf("core: %d shard blocks still invalid after %d recovery rounds: %w",
+			rep.lastFailed(), maxRounds, ErrUnrecoverable)
 	}
-	failed, vres, err := lp.ValidateBlocks(recompute, sel)
-	rep.Rounds++
-	rep.ValidateCycles += vres.Cycles
-	if err != nil {
-		return rep, err
-	}
-	rep.FailedPerRound = append(rep.FailedPerRound, len(failed))
-	if len(failed) > 0 {
-		return rep, fmt.Errorf("core: %d shard blocks still invalid after %d recovery rounds: %w",
-			len(failed), maxRounds, ErrUnrecoverable)
-	}
-	return rep, nil
-}
-
-// repairBlocks re-executes exactly the failed blocks and flushes the
-// repairs durable, surfacing an aborted repair launch as a typed error.
-func (lp *LP) repairBlocks(kernel gpusim.KernelFunc, failed []int, rep *RecoveryReport) error {
-	if lp.fusion > 1 {
-		merger, err := lp.merger()
-		if err != nil {
-			return err
-		}
-		seen := map[int]bool{}
-		for _, blk := range failed {
-			if reg := blk / lp.fusion; !seen[reg] {
-				seen[reg] = true
-				merger.HostResetEntry(uint64(reg))
-			}
-		}
-	}
-	rres := lp.dev.LaunchSelected("lp-shard-recover", lp.grid, lp.blk, kernel, failed)
-	rep.RecoverCycles += rres.Cycles
-	if rres.Interrupted {
-		return fmt.Errorf("core: shard repair launch aborted (%d/%d blocks): %w",
-			rres.Blocks, len(failed), ErrUnrecoverable)
-	}
-	lp.dev.Mem().FlushAll()
-	return nil
+	return rep, err
 }
