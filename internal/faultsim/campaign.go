@@ -30,6 +30,25 @@ func Applicable(kernel string, kind Kind) bool {
 	return denseFlipKernels[kernel]
 }
 
+// ModelApplicable reports whether kind is a meaningful, decidable probe
+// for kernel under the named persistency model. For LP it defers to
+// Applicable. The flag models (ep, sbrp, strict) have no checksums, so
+// media bit flips are undetectable by design and excluded; their
+// mid-kernel recovery re-executes whole blocks, which is only
+// byte-idempotent on the dense kernels.
+func ModelApplicable(model, kernel string, kind Kind) bool {
+	if model == "" || model == "lp" {
+		return Applicable(kernel, kind)
+	}
+	switch kind {
+	case DataBitFlips, StoreBitFlips:
+		return false
+	case MidKernelCrash:
+		return denseFlipKernels[kernel]
+	}
+	return true
+}
+
 // Campaign sweeps seeded fault cases over kernels × fault kinds.
 type Campaign struct {
 	Opt Options

@@ -178,14 +178,7 @@ func (c *Checker) Run(cfg Config) *Report {
 func (c *Checker) rotateFault(sc KernelScenario, i int) faultsim.Kind {
 	kinds := faultsim.AllKinds()
 	for off := 0; off < len(kinds); off++ {
-		k := kinds[(i+off)%len(kinds)]
-		if isModelBackend(sc.Backend) {
-			if modelEligible(sc.Backend, sc.Kernel, k) {
-				return k
-			}
-			continue
-		}
-		if faultsim.Applicable(sc.Kernel, k) {
+		if k := kinds[(i+off)%len(kinds)]; faultsim.ModelApplicable(modelOf(sc.Backend), sc.Kernel, k) {
 			return k
 		}
 	}

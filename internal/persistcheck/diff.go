@@ -54,7 +54,7 @@ func (c *Checker) RunDiffStores(sc KernelScenario) error {
 // recovered outputs. The scenario's fault kind must be decidable under
 // the most restrictive model (they share one applicability matrix).
 func (c *Checker) RunDiffModels(sc KernelScenario) error {
-	if !modelEligible(BackendEP, sc.Kernel, sc.Fault) {
+	if !faultsim.ModelApplicable(BackendEP, sc.Kernel, sc.Fault) {
 		return fmt.Errorf("persistcheck: %v: fault kind not checkable under the non-LP models", sc)
 	}
 	lpv := sc
