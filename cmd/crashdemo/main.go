@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"gpulp/internal/core"
 	"gpulp/internal/gpusim"
@@ -20,22 +21,69 @@ import (
 	"gpulp/internal/memsim"
 )
 
-func main() {
-	var (
-		name      = flag.String("workload", "tmm", "workload to run (tmm, spmv, histo, ...)")
-		cache     = flag.Int("cache", 256<<10, "cache size in bytes (smaller = more natural eviction before the crash)")
-		scale     = flag.Int("scale", 1, "input scale")
-		tracePath = flag.String("trace", "", "write per-block launch traces as JSON lines to this file")
-	)
-	flag.Parse()
+// cliFlags holds the parsed command line.
+type cliFlags struct {
+	workload, trace string
+	cache, scale    int
+}
 
-	memCfg := memsim.DefaultConfig()
-	memCfg.CacheBytes = *cache
-	mem := memsim.MustNew(memCfg)
+// register defines crashdemo's flags on fs.
+func register(fs *flag.FlagSet) *cliFlags {
+	f := &cliFlags{}
+	fs.StringVar(&f.workload, "workload", "tmm", "workload to run (tmm, spmv, histo, ...)")
+	fs.IntVar(&f.cache, "cache", 256<<10, "cache size in bytes (smaller = more natural eviction before the crash)")
+	fs.IntVar(&f.scale, "scale", 1, "input scale")
+	fs.StringVar(&f.trace, "trace", "", "write per-block launch traces as JSON lines to this file")
+	return f
+}
+
+// validate rejects input the demo would crash on or silently rewrite: an
+// unknown workload, a scale below 1, or a cache the memory model refuses.
+func (f *cliFlags) validate() error {
+	if f.scale < 1 {
+		return fmt.Errorf("-scale %d must be >= 1", f.scale)
+	}
+	if err := f.memConfig().Validate(); err != nil {
+		return fmt.Errorf("-cache %d: %v", f.cache, err)
+	}
+	if !knownWorkload(f.workload) {
+		return fmt.Errorf("-workload %q is not a workload (known: %s, megakv-search, megakv-insert, megakv-delete, megakv-mixed)",
+			f.workload, strings.Join(kernels.Names, ", "))
+	}
+	return nil
+}
+
+// memConfig is the default hierarchy with the requested cache size.
+func (f *cliFlags) memConfig() memsim.Config {
+	cfg := memsim.DefaultConfig()
+	cfg.CacheBytes = f.cache
+	return cfg
+}
+
+// knownWorkload reports whether kernels.New accepts name.
+func knownWorkload(name string) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	kernels.New(name, 1)
+	return true
+}
+
+func main() {
+	fl := register(flag.CommandLine)
+	flag.Parse()
+	if err := fl.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "crashdemo:", err)
+		os.Exit(2)
+	}
+
+	mem := memsim.MustNew(fl.memConfig())
 	dev := gpusim.MustNew(gpusim.DefaultConfig(), mem)
 
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+	if fl.trace != "" {
+		f, err := os.Create(fl.trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "crashdemo:", err)
 			os.Exit(1)
@@ -47,10 +95,10 @@ func main() {
 				fmt.Fprintln(os.Stderr, "crashdemo: trace:", err)
 			}
 		})
-		fmt.Printf("writing launch traces to %s\n", *tracePath)
+		fmt.Printf("writing launch traces to %s\n", fl.trace)
 	}
 
-	w := kernels.New(*name, *scale)
+	w := kernels.New(fl.workload, fl.scale)
 	w.Setup(dev)
 	grid, blk := w.Geometry()
 	fmt.Printf("workload %s: %d blocks of %d threads, LP region = thread block\n",

@@ -18,29 +18,57 @@ import (
 	"gpulp/internal/pmodel"
 )
 
+// cliFlags holds the parsed command line.
+type cliFlags struct {
+	exp, format, model string
+	scale, parallel    int
+	verify, list       bool
+}
+
+// register defines lpbench's flags on fs.
+func register(fs *flag.FlagSet) *cliFlags {
+	f := &cliFlags{}
+	fs.StringVar(&f.exp, "exp", "all", "comma-separated experiment ids, or 'all' (ids: "+ids()+")")
+	fs.IntVar(&f.scale, "scale", 1, "workload input scale factor")
+	fs.BoolVar(&f.verify, "verify", false, "verify every run's output against the host golden reference")
+	fs.BoolVar(&f.list, "list", false, "list experiment ids and exit")
+	fs.StringVar(&f.format, "format", "text", "output format: text or markdown")
+	fs.IntVar(&f.parallel, "parallel", 1, "host goroutines fanning out independent experiment runs (results are bit-identical at any value)")
+	fs.StringVar(&f.model, "model", "", "persistency models for the modelcompare sweep: comma-separated from "+strings.Join(pmodel.Names(), ",")+", or \"all\" (default)")
+	return f
+}
+
+// validate rejects a scale or host width below 1, which the harness
+// would otherwise silently run as 1.
+func (f *cliFlags) validate() error {
+	if f.scale < 1 {
+		return fmt.Errorf("-scale %d must be >= 1", f.scale)
+	}
+	if f.parallel < 1 {
+		return fmt.Errorf("-parallel %d must be >= 1", f.parallel)
+	}
+	return nil
+}
+
 func main() {
-	var (
-		expList  = flag.String("exp", "all", "comma-separated experiment ids, or 'all' (ids: "+ids()+")")
-		scale    = flag.Int("scale", 1, "workload input scale factor")
-		verify   = flag.Bool("verify", false, "verify every run's output against the host golden reference")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		format   = flag.String("format", "text", "output format: text or markdown")
-		parallel = flag.Int("parallel", 1, "host goroutines fanning out independent experiment runs (results are bit-identical at any value)")
-		model    = flag.String("model", "", "persistency models for the modelcompare sweep: comma-separated from "+strings.Join(pmodel.Names(), ",")+", or \"all\" (default)")
-	)
+	fl := register(flag.CommandLine)
 	flag.Parse()
+	if err := fl.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "lpbench:", err)
+		os.Exit(2)
+	}
 
 	render := (*harness.Table).Render
-	switch *format {
+	switch fl.format {
 	case "text":
 	case "markdown":
 		render = (*harness.Table).RenderMarkdown
 	default:
-		fmt.Fprintf(os.Stderr, "lpbench: unknown format %q (want text or markdown)\n", *format)
+		fmt.Fprintf(os.Stderr, "lpbench: unknown format %q (want text or markdown)\n", fl.format)
 		os.Exit(1)
 	}
 
-	if *list {
+	if fl.list {
 		for _, e := range harness.Experiments {
 			fmt.Printf("%-14s %s\n", e.ID, e.Title)
 		}
@@ -48,11 +76,11 @@ func main() {
 	}
 
 	opt := harness.DefaultOptions()
-	opt.Scale = *scale
-	opt.Verify = *verify
-	opt.Parallel = *parallel
-	if *model != "" {
-		specs, err := pmodel.Parse(*model)
+	opt.Scale = fl.scale
+	opt.Verify = fl.verify
+	opt.Parallel = fl.parallel
+	if fl.model != "" {
+		specs, err := pmodel.Parse(fl.model)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lpbench:", err)
 			os.Exit(1)
@@ -63,14 +91,14 @@ func main() {
 	}
 	r := harness.NewRunner(opt)
 
-	if *expList == "all" {
+	if fl.exp == "all" {
 		if err := r.RunAll(os.Stdout, render); err != nil {
 			fmt.Fprintln(os.Stderr, "lpbench:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	for _, id := range strings.Split(*expList, ",") {
+	for _, id := range strings.Split(fl.exp, ",") {
 		id = strings.TrimSpace(id)
 		e, ok := harness.ByID(id)
 		if !ok {

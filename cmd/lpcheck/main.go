@@ -31,35 +31,68 @@ import (
 	"gpulp/internal/pmodel"
 )
 
+// cliFlags holds the parsed command line.
+type cliFlags struct {
+	seed                   uint64
+	n                      int
+	ops                    int64
+	duration               time.Duration
+	model, kernels, corpus string
+	json, quiet            bool
+}
+
+// register defines lpcheck's flags on fs.
+func register(fs *flag.FlagSet) *cliFlags {
+	f := &cliFlags{}
+	fs.Uint64Var(&f.seed, "seed", 1, "generator seed (same seed => same scenarios and fingerprint)")
+	fs.IntVar(&f.n, "n", 200, "scenario budget (the kernel×backend coverage sweep always runs in full)")
+	fs.Int64Var(&f.ops, "ops", 0, "optional deterministic op budget; same (seed, n, ops) always runs the same scenarios")
+	fs.DurationVar(&f.duration, "duration", 0, "optional wall-clock budget; stops random generation when elapsed")
+	fs.StringVar(&f.model, "model", "", "comma-separated persistency models to sweep: lp (all four checksum stores), ep, sbrp, strict, or \"all\"")
+	fs.StringVar(&f.kernels, "kernels", "", "comma-separated workload subset (default: full Table I suite)")
+	fs.StringVar(&f.corpus, "corpus", "", "replay every reproducer in this directory instead of fuzzing")
+	fs.BoolVar(&f.json, "json", false, "emit the report as JSON")
+	fs.BoolVar(&f.quiet, "quiet", false, "suppress progress lines")
+	return f
+}
+
+// validate rejects negative budgets, which would otherwise run as if
+// unset; 0 keeps its documented meaning for each.
+func (f *cliFlags) validate() error {
+	switch {
+	case f.n < 0:
+		return fmt.Errorf("-n %d must be >= 0", f.n)
+	case f.ops < 0:
+		return fmt.Errorf("-ops %d must be >= 0", f.ops)
+	case f.duration < 0:
+		return fmt.Errorf("-duration %v must be >= 0", f.duration)
+	}
+	return nil
+}
+
 func main() {
-	var (
-		seed     = flag.Uint64("seed", 1, "generator seed (same seed => same scenarios and fingerprint)")
-		n        = flag.Int("n", 200, "scenario budget (the kernel×backend coverage sweep always runs in full)")
-		ops      = flag.Int64("ops", 0, "optional deterministic op budget; same (seed, n, ops) always runs the same scenarios")
-		duration = flag.Duration("duration", 0, "optional wall-clock budget; stops random generation when elapsed")
-		model    = flag.String("model", "", "comma-separated persistency models to sweep: lp (all four checksum stores), ep, sbrp, strict, or \"all\"")
-		kernelsF = flag.String("kernels", "", "comma-separated workload subset (default: full Table I suite)")
-		corpus   = flag.String("corpus", "", "replay every reproducer in this directory instead of fuzzing")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
-		quiet    = flag.Bool("quiet", false, "suppress progress lines")
-	)
+	fl := register(flag.CommandLine)
 	flag.Parse()
+	if err := fl.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "lpcheck:", err)
+		os.Exit(2)
+	}
 
 	c := persistcheck.NewChecker()
 
-	if *corpus != "" {
-		os.Exit(replayCorpus(c, *corpus))
+	if fl.corpus != "" {
+		os.Exit(replayCorpus(c, fl.corpus))
 	}
 
-	cfg := persistcheck.Config{Seed: *seed, N: *n, MaxOps: *ops}
-	if *duration > 0 {
+	cfg := persistcheck.Config{Seed: fl.seed, N: fl.n, MaxOps: fl.ops}
+	if fl.duration > 0 {
 		// The checker itself never reads the clock (its contract packages
 		// are wall-clock-free); the CLI owns the deadline.
-		deadline := time.Now().Add(*duration)
+		deadline := time.Now().Add(fl.duration)
 		cfg.Stop = func() bool { return time.Now().After(deadline) }
 	}
-	if *model != "" {
-		specs, err := pmodel.Parse(*model)
+	if fl.model != "" {
+		specs, err := pmodel.Parse(fl.model)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lpcheck: %v\n", err)
 			os.Exit(2)
@@ -75,8 +108,8 @@ func main() {
 			cfg.Backends = append(cfg.Backends, s.Name)
 		}
 	}
-	if *kernelsF != "" {
-		cfg.Kernels = strings.Split(*kernelsF, ",")
+	if fl.kernels != "" {
+		cfg.Kernels = strings.Split(fl.kernels, ",")
 		for _, k := range cfg.Kernels {
 			if !knownKernel(k) {
 				fmt.Fprintf(os.Stderr, "lpcheck: unknown kernel %q (known: %s)\n",
@@ -94,7 +127,7 @@ func main() {
 		cfg.PlantDrop = drop
 		fmt.Fprintf(os.Stderr, "lpcheck: planted bug armed: dropping write-back %d in every raw-memory scenario\n", drop)
 	}
-	if !*quiet {
+	if !fl.quiet {
 		cfg.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "lpcheck: "+format+"\n", args...)
 		}
@@ -104,7 +137,7 @@ func main() {
 	rep := c.Run(cfg)
 	elapsed := time.Since(start).Round(time.Millisecond)
 
-	if *jsonOut {
+	if fl.json {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
