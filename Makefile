@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lpvet build test tier1 race matrix smoke campaign scrub-smoke scrub-campaign cluster-smoke cluster-soak persistcheck-smoke persistcheck-soak model-smoke model-soak serve-smoke serve-soak replica-smoke replica-soak bench bench-smoke bench-micro bench-micro-smoke ci
+.PHONY: all vet lpvet build test tier1 race matrix smoke campaign scrub-smoke scrub-campaign cluster-smoke cluster-soak persistcheck-smoke persistcheck-soak model-smoke model-soak serve-smoke serve-soak replica-smoke replica-soak bench-smoke bench-micro bench-micro-smoke ci
 
 all: ci
 
@@ -136,12 +136,6 @@ replica-soak:
 	$(GO) run ./cmd/lpfault -replicas -rfactors 1,2,3,4 -model all -seeds 6 -parallel 4
 	$(GO) run ./cmd/lpbench -exp replicacompare -parallel 4
 	$(GO) run ./cmd/lpserve -devices 3 -fail-launch 2 -fail-device 1 -json > /dev/null
-
-# bench: regenerate every artifact benchmark, then record the
-# serial-vs-parallel wall-clock comparison to BENCH_parallel.json.
-bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
-	BENCH_JSON=BENCH_parallel.json $(GO) test -run '^TestWriteBenchParallelJSON$$' -v .
 
 # bench-smoke: the benchmark module's own checks. bench/ is a separate Go
 # module, so the root vet/test targets never reach it: every workload at
