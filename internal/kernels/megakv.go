@@ -22,7 +22,7 @@ import (
 //   - delete: fold the key after deletion; validation folds the key only
 //     if it is absent, so a lost tombstone mismatches.
 type megakvWork struct {
-	op   string // "search", "insert", "delete"
+	name string // "megakv-" + the batch operation (see op)
 	nOps int
 
 	dev     *gpusim.Device
@@ -44,17 +44,20 @@ const deleteMissMarker = 0xBAD0BAD0
 
 func newMegaKV(name string, scale int) *megakvWork {
 	// 16K records per batch, the workload size of §VII-4.
-	return &megakvWork{op: name[len("megakv-"):], nOps: 16384 * scale}
+	return &megakvWork{name: name, nOps: 16384 * scale}
 }
 
-func (w *megakvWork) Name() string { return "megakv-" + w.op }
+func (w *megakvWork) Name() string { return w.name }
+
+// op is the batch operation: "search", "insert", "delete" or "mixed".
+func (w *megakvWork) op() string { return w.name[len("megakv-"):] }
 
 func (w *megakvWork) Info() Info {
 	return Info{
-		Description: fmt.Sprintf("MEGA-KV in-memory key-value store, batched %s", w.op),
+		Description: fmt.Sprintf("MEGA-KV in-memory key-value store, batched %s", w.op()),
 		Suite:       "[12]",
 		Bottleneck:  "unknown",
-		Input:       fmt.Sprintf("%s %d records", w.op, w.nOps),
+		Input:       fmt.Sprintf("%s %d records", w.op(), w.nOps),
 	}
 }
 
@@ -86,7 +89,7 @@ func (w *megakvWork) Setup(dev *gpusim.Device) {
 	w.vals.HostWriteU64s(w.valList)
 	w.results.HostZero()
 
-	switch w.op {
+	switch w.op() {
 	case "insert":
 		// Store starts empty; golden is the inserted values.
 		w.golden = w.valList
@@ -118,7 +121,7 @@ func (w *megakvWork) Setup(dev *gpusim.Device) {
 			}
 		}
 	default:
-		panic(fmt.Sprintf("kernels: unknown megakv op %q", w.op))
+		panic(fmt.Sprintf("kernels: unknown megakv op %q", w.op()))
 	}
 }
 
@@ -139,7 +142,7 @@ func mixedOpKind(i int) string {
 func (w *megakvWork) loadKey(t *gpusim.Thread, i int) uint64 { return t.LoadU64(w.keys, i) }
 
 func (w *megakvWork) Kernel(lp *core.LP) gpusim.KernelFunc {
-	switch w.op {
+	switch w.op() {
 	case "insert":
 		return func(b *gpusim.Block) {
 			r := lp.Begin(b)
@@ -205,7 +208,7 @@ func (w *megakvWork) Kernel(lp *core.LP) gpusim.KernelFunc {
 }
 
 func (w *megakvWork) Recompute() core.RecomputeFunc {
-	switch w.op {
+	switch w.op() {
 	case "insert":
 		return func(b *gpusim.Block, r *core.Region) {
 			b.ForAll(func(t *gpusim.Thread) {
@@ -267,7 +270,7 @@ func (w *megakvWork) Recompute() core.RecomputeFunc {
 }
 
 func (w *megakvWork) Verify() error {
-	switch w.op {
+	switch w.op() {
 	case "insert":
 		for i, k := range w.keyList {
 			got, ok := w.store.HostGet(k)
@@ -312,7 +315,7 @@ func (w *megakvWork) Verify() error {
 }
 
 func (w *megakvWork) PersistBytes() int64 {
-	if w.op == "search" {
+	if w.op() == "search" {
 		return int64(w.nOps) * 8
 	}
 	// The persistent structure is the index itself (bucket count is nOps
@@ -328,7 +331,7 @@ func (w *megakvWork) PersistBytes() int64 {
 // array for searches and the index itself for mutating batches (both,
 // for the mixed batch).
 func (w *megakvWork) Outputs() []memsim.Region {
-	switch w.op {
+	switch w.op() {
 	case "search":
 		return []memsim.Region{w.results}
 	case "mixed":
