@@ -65,6 +65,12 @@ func TestGolden(t *testing.T) {
 			c.Jobs = 4
 			return rendered(c.Run())
 		}},
+		{"replica-campaign-ep-strict", func() (string, any, error) {
+			c := faultsim.DefaultReplicaCampaign(1)
+			c.Jobs = 4
+			c.Models = []string{"ep", "strict"}
+			return rendered(c.Run())
+		}},
 		{"serve-campaign", func() (string, any, error) { return rendered(faultsim.DefaultServeCampaign(1).Run()) }},
 		{"serve-bare", func() (string, any, error) {
 			cfg := serve.DefaultConfig()
