@@ -119,14 +119,15 @@ serve-soak:
 # replica-smoke: replicated durable placement under race (placer and
 # adoption unit contracts, the cluster-backed serving layer), the root
 # determinism pin (the replicated run twice, the campaign at host fan-out
-# 1 vs 8), and a quick R in {1,2} failover sweep — every R>=2 case must
+# 1 vs 8), and a quick R in {1,2} failover sweep over every registered
+# persistency model — every R>=2 case must
 # recover via replica adoption with zero re-executed blocks and a
 # bit-exact pool audit. Exits non-zero on any contract breach, mismatch
 # or panic.
 replica-smoke:
 	$(GO) test -race -run 'TestReplica|TestPlacer|TestCluster' ./internal/cluster/ ./internal/serve/ ./internal/faultsim/
 	$(GO) test -race -count=1 -run 'TestParallelDeterminismReplicatedCluster|TestServeClusterDeterminism' .
-	$(GO) run ./cmd/lpfault -replicas -rfactors 1,2 -model lp,sbrp -jobs 4 -seeds 2 -parallel 4
+	$(GO) run ./cmd/lpfault -replicas -rfactors 1,2 -model all -jobs 4 -seeds 2 -parallel 4
 
 # replica-soak: the fuller replicated-failover sweep for scheduled CI —
 # R up to the device count, every placer, all registered models, plus

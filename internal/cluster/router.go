@@ -93,8 +93,8 @@ type DeviceView struct {
 	Jobs int
 }
 
-// Router is a pluggable dispatch policy. Pick chooses one of the
-// candidate devices (non-empty, ascending ID) for a job whose shard
+// Router is a dispatch policy, one per RouterKind. Pick chooses one of
+// the candidate devices (non-empty, ascending ID) for a job whose shard
 // owner is owner, returning the chosen device's ID. Implementations must
 // be deterministic functions of their inputs and internal state — the
 // cluster's determinism contract extends to routing.

@@ -37,7 +37,7 @@ func Applicable(kernel string, kind Kind) bool {
 // mid-kernel recovery re-executes whole blocks, which is only
 // byte-idempotent on the dense kernels.
 func ModelApplicable(model, kernel string, kind Kind) bool {
-	if model == "" || model == "lp" {
+	if spec, _ := lookupModel(model); spec.Name == "lp" {
 		return Applicable(kernel, kind)
 	}
 	switch kind {

@@ -390,12 +390,13 @@ func Strike(dev *gpusim.Device, rng *rand.Rand, kind Kind, afterBlocks, flips in
 // RunCase executes one fault-injection case end to end: bind the case's
 // persistency model after workload setup, strike the fault at its seeded
 // point, recover, and compare the durable image against golden. LP
-// (Model "" or "lp") binds core directly, with the post-setup durable
-// state as its checkpoint, and recovers with RecoverHardened; the result
-// carries its tier, rounds and cycles. Every other model binds through
-// the pmodel registry and is held to its whole contract: PredictDamage
-// from the raw durable image must equal what Recover repairs. It never
-// panics: a runtime panic is converted into the Panicked outcome.
+// (Model "", or any spelling pmodel.Lookup resolves to "lp") binds core
+// directly, with the post-setup durable state as its checkpoint, and
+// recovers with RecoverHardened; the result carries its tier, rounds
+// and cycles. Every other model binds through the pmodel registry and
+// is held to its whole contract: PredictDamage from the raw durable
+// image must equal what Recover repairs. It never panics: a runtime
+// panic is converted into the Panicked outcome.
 func RunCase(opt Options, c Case, golden *Golden) (res Result) {
 	res.Case = c
 	defer func() {
@@ -404,12 +405,12 @@ func RunCase(opt Options, c Case, golden *Golden) (res Result) {
 			res.Err = fmt.Sprintf("panic: %v", r)
 		}
 	}()
-	lp := c.Model == "" || c.Model == "lp"
-	spec, ok := pmodel.Lookup(c.Model)
+	spec, ok := lookupModel(c.Model)
+	lp := spec.Name == "lp"
 	switch {
-	case !lp && !ok:
+	case !ok:
 		return typedError(res, fmt.Sprintf("faultsim: unknown persistency model %q", c.Model))
-	case !lp && !ModelApplicable(c.Model, c.Kernel, c.Kind):
+	case !lp && !ModelApplicable(spec.Name, c.Kernel, c.Kind):
 		return typedError(res, fmt.Sprintf("faultsim: fault kind %v is not applicable to model %s on %s", c.Kind, c.Model, c.Kernel))
 	}
 
@@ -488,6 +489,16 @@ func RunCase(opt Options, c Case, golden *Golden) (res Result) {
 	}
 	res.Outcome = Recovered
 	return res
+}
+
+// lookupModel resolves a case's model name the way the CLIs do: empty
+// means lp (cases recorded before the model axis), and any other
+// spelling resolves through pmodel.Lookup.
+func lookupModel(name string) (pmodel.Spec, bool) {
+	if name == "" {
+		name = "lp"
+	}
+	return pmodel.Lookup(name)
 }
 
 // typedError closes res as a TypedError outcome with the given text.

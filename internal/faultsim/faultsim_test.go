@@ -144,6 +144,31 @@ func TestModelApplicable(t *testing.T) {
 	}
 }
 
+// TestLPModelSpellings runs the same spmv cases under every spelling of
+// the lp model pmodel.Lookup accepts: each must take the direct LP path
+// the empty name takes, with the same outcome, tier, rounds and cycles.
+func TestLPModelSpellings(t *testing.T) {
+	opt := DefaultOptions()
+	golden, err := GoldenRun(opt, "spmv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []Kind{CleanCrash, DataBitFlips, StoreBitFlips} {
+		want := RunCase(opt, Case{Kernel: "spmv", Kind: kind, Seed: 7}, golden)
+		if want.Outcome != Recovered || want.Rounds == 0 {
+			t.Fatalf("%v: the lp path did not recover through core: %+v", kind, want)
+		}
+		for _, name := range []string{"lp", "LP", " lp "} {
+			got := RunCase(opt, Case{Kernel: "spmv", Kind: kind, Seed: 7, Model: name}, golden)
+			if got.Outcome != want.Outcome || got.Tier != want.Tier || got.Rounds != want.Rounds || got.Cycles != want.Cycles {
+				t.Errorf("%v under model %q: %v tier %v, %d rounds, %d cycles; want %v tier %v, %d rounds, %d cycles (%s)",
+					kind, name, got.Outcome, got.Tier, got.Rounds, got.Cycles,
+					want.Outcome, want.Tier, want.Rounds, want.Cycles, got.Err)
+			}
+		}
+	}
+}
+
 // TestModelCampaign sweeps every registered persistency model through
 // the seeded fault campaign on tmm: each model must recover bit-exact
 // (or report a typed error) under every applicable fault shape, and the

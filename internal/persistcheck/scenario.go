@@ -210,16 +210,15 @@ func (c *Checker) runKernel(sc KernelScenario) (art *runArtifacts, err error) {
 	m := pmodel.MustLookup(model).New(dev, w, popt)
 	kernel := m.Kernel()
 
-	// Fault-free leading epochs of an epoch-salted model; the fault
-	// strikes the last one.
-	if e, ok := m.(pmodel.Epocher); ok && sc.Epochs > 1 {
+	// Fault-free leading epochs; the fault strikes the last one.
+	if sc.Epochs > 1 {
 		grid, blk := w.Geometry()
 		for ep := 0; ep+1 < sc.Epochs; ep++ {
-			e.SetEpoch(uint64(ep))
+			m.BeginEpoch(uint64(ep))
 			dev.Launch(sc.Kernel, grid, blk, kernel)
 			mem.FlushAll()
 		}
-		e.SetEpoch(uint64(sc.Epochs - 1))
+		m.BeginEpoch(uint64(sc.Epochs - 1))
 	}
 	if _, _, err := faultsim.Strike(dev, rng, sc.Fault, sc.AfterBlocks, sc.Flips, w, kernel, golden, m.MetadataRegions); err != nil {
 		return nil, fmt.Errorf("persistcheck: %v: %w", sc, err)

@@ -1,6 +1,7 @@
 package pmodel
 
 import (
+	"gpulp/internal/checksum"
 	"gpulp/internal/core"
 	"gpulp/internal/gpusim"
 	"gpulp/internal/memsim"
@@ -43,19 +44,17 @@ func newLP(dev *gpusim.Device, w Workload, opt Options) Model {
 func (m *lpModel) Name() string              { return "lp" }
 func (m *lpModel) Kernel() gpusim.KernelFunc { return m.kernel }
 func (m *lpModel) MetadataBytes() int64      { return m.lp.TableBytes() }
-func (m *lpModel) SetEpoch(epoch uint64)     { m.lp.SetEpoch(epoch) }
+func (m *lpModel) BeginEpoch(n uint64)       { m.lp.SetEpoch(n) }
 func (m *lpModel) MetadataRegions() []memsim.Region {
 	return m.lp.Store().TableRegions()
 }
 
-// LP returns the underlying runtime (epoch control, store statistics).
-func (m *lpModel) LP() *core.LP { return m.lp }
-
-// PredictDamage recomputes every region's checksums from durable data
-// and compares them against the checksum store as serialized in img:
-// regions whose stored entry is missing, torn, or mismatched are the
-// ones validation must fail. This is the LP durable-image contract the
-// crash-consistency oracle checks.
+// PredictDamage recomputes every region's checksums from durable data —
+// a recompute launch on the bound device, whose loads leave the durable
+// state untouched — and compares them against the checksum store as
+// serialized in img: regions whose stored entry is missing, torn, or
+// mismatched are the ones validation must fail. This is the LP
+// durable-image contract the crash-consistency oracle checks.
 func (m *lpModel) PredictDamage(img []byte) []int {
 	perBlock, _ := m.lp.RecomputeStates(m.recompute)
 	cfg := m.lp.Config()
@@ -86,4 +85,79 @@ func (m *lpModel) Recover() (Report, error) {
 		Cycles:  vres.Cycles + rep.TotalCycles(),
 	}
 	return out, rerr
+}
+
+// RecoverShard runs core.RecoverBlocks over the shard: validate, re-execute
+// the failed blocks, and repeat within the model's round budget, backing
+// off backoff << (round-1) cycles before each retry round.
+func (m *lpModel) RecoverShard(blocks []int, backoff int64) (ShardReport, error) {
+	rep, err := m.lp.RecoverBlocks(m.kernel, m.recompute, blocks, core.ShardRecoverOpts{
+		MaxRounds:   m.maxRounds,
+		BackoffBase: backoff,
+	})
+	out := ShardReport{Cycles: rep.TotalCycles(), BackoffCycles: rep.BackoffCycles}
+	if len(rep.FailedPerRound) > 0 {
+		out.Reexecuted = rep.FailedPerRound[0]
+	}
+	return out, err
+}
+
+// ShardIntact refolds the shard's durable data from img — salting each
+// block total with Mix64(epoch, block) exactly as Region.Commit does
+// on-device — merges fusion groups, and accepts only when every covered
+// region's stored checksum matches the refold. A fusion group only
+// partially inside the shard cannot be judged from the shard alone and
+// is rejected; the caller falls back to re-execution.
+func (m *lpModel) ShardIntact(img []byte, blocks []int, fold BlockFolder) bool {
+	cfg := m.lp.Config()
+	fusion := m.lp.Fusion()
+	grid := m.lp.Grid().Size()
+	type group struct {
+		st      checksum.State
+		covered int
+	}
+	groups := make(map[int]*group, len(blocks))
+	var order []int
+	for _, blk := range blocks {
+		var st checksum.State
+		fold(img, blk, func(bits uint32) {
+			switch cfg.Checksum {
+			case checksum.Parity:
+				st.Par ^= uint64(bits)
+			case checksum.Modular:
+				st.Mod += uint64(bits)
+			default: // Dual
+				st.Mod += uint64(bits)
+				st.Par ^= uint64(bits)
+			}
+		})
+		salt := checksum.Mix64(m.lp.Epoch(), uint64(blk))
+		st.Mod += salt
+		st.Par ^= salt
+		reg := blk / fusion
+		g := groups[reg]
+		if g == nil {
+			g = &group{}
+			groups[reg] = g
+			order = append(order, reg)
+		}
+		g.st.Mod += st.Mod
+		g.st.Par ^= st.Par
+		g.covered++
+	}
+	for _, reg := range order {
+		size := fusion
+		if rem := grid - reg*fusion; rem < size {
+			size = rem
+		}
+		g := groups[reg]
+		if g.covered != size {
+			return false
+		}
+		stored, ok := m.lp.Store().ImageLookup(img, uint64(reg))
+		if !ok || !stored.Matches(g.st, cfg.Checksum) {
+			return false
+		}
+	}
+	return true
 }

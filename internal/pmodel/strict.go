@@ -5,45 +5,26 @@ import (
 	"gpulp/internal/memsim"
 )
 
-// strictModel is strict persistency: every protected store is flushed
+// newStrict binds strict persistency: every protected store is flushed
 // and fenced in program order, so the durable image trails execution by
 // at most one store. It is the slow, simple end of the spectrum — no
 // metadata beyond a release flag, no buffering, and a full NVM-write
 // stall on every store — the baseline the other three models are
-// measured against.
-type strictModel struct {
-	*flagModel
-}
-
+// measured against. It is the bare flag-commit family.
 func newStrict(dev *gpusim.Device, w Workload, opt Options) Model {
-	m := &strictModel{flagModel: newFlagModel(dev, w, "strict")}
-	m.kernel = m.wrap(w.Kernel(nil), w.Outputs()...)
-	return m
-}
-
-func (m *strictModel) Name() string { return "strict" }
-
-func (m *strictModel) wrap(kernel gpusim.KernelFunc, protected ...memsim.Region) gpusim.KernelFunc {
-	if kernel == nil {
-		panic("pmodel: strict wraps a nil kernel")
+	f := newFlagModel(dev, w, "strict")
+	// The hook keeps no per-block state, so every block shares one.
+	hook := func(t *gpusim.Thread, reg memsim.Region, elemIdx int, bits uint32) {
+		if f.protects(reg) {
+			// Program-order durability: the store's line goes to NVM and
+			// the thread waits for it before continuing.
+			t.FlushLine(reg, elemIdx*4)
+			t.PersistBarrier()
+		}
 	}
-	if len(protected) == 0 {
-		panic("pmodel: strict needs at least one protected region")
+	f.kernel = func(b *gpusim.Block) {
+		f.run(b, hook)
+		f.release(b)
 	}
-	return func(b *gpusim.Block) {
-		prev := b.SetStoreHook(func(t *gpusim.Thread, reg memsim.Region, elemIdx int, bits uint32) {
-			for _, p := range protected {
-				if p.Base == reg.Base {
-					// Program-order durability: the store's line goes to
-					// NVM and the thread waits for it before continuing.
-					t.FlushLine(reg, elemIdx*4)
-					t.PersistBarrier()
-					return
-				}
-			}
-		})
-		kernel(b)
-		b.SetStoreHook(prev)
-		m.release(b)
-	}
+	return f
 }

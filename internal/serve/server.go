@@ -22,10 +22,10 @@ import (
 // Epoch discipline: every batch boundary is a persistency epoch. After a
 // launch, the cache's dirty lines are drained to NVM (charged at NVM
 // bandwidth), making the previous epoch's effects durable; before the
-// next launch, epoch-salted models advance their epoch and metadata-
-// truncating models (redo logs, release flags) are host-reset. A crash
-// therefore only ever has one in-flight batch to repair, and the model's
-// recovery restores the durable image bit-exactly.
+// next launch, Model.BeginEpoch starts the next epoch (lp advances its
+// checksum salt, the flag models truncate their redo logs and flags).
+// A crash therefore only ever has one in-flight batch to repair, and
+// the model's recovery restores the durable image bit-exactly.
 
 // bareModel reports whether name means "no persistency model".
 func bareModel(name string) bool { return name == "" || name == "none" }
@@ -42,10 +42,8 @@ func modelKnown(name string) bool {
 // launcher binds the workload to the selected persistency model (or to
 // nothing, for the non-persistent baseline).
 type launcher struct {
-	kernel  gpusim.KernelFunc
-	model   pmodel.Model
-	epocher pmodel.Epocher
-	meta    []memsim.Region
+	kernel gpusim.KernelFunc
+	model  pmodel.Model
 }
 
 func newLauncher(w *batchWorkload, cfg Config) *launcher {
@@ -66,25 +64,7 @@ func newLauncher(w *batchWorkload, cfg Config) *launcher {
 		// the only sound tiers under the per-batch epoch discipline.
 		Checkpoint: false,
 	})
-	l := &launcher{kernel: m.Kernel(), model: m, meta: m.MetadataRegions()}
-	l.epocher, _ = m.(pmodel.Epocher)
-	return l
-}
-
-// beginEpoch prepares the model for batch n (1-based). Epoch-salted
-// models advance their salt; the rest truncate their durable metadata —
-// sound exactly because the previous epoch's data was drained first.
-func (l *launcher) beginEpoch(n int) {
-	if l.model == nil {
-		return
-	}
-	if l.epocher != nil {
-		l.epocher.SetEpoch(uint64(n))
-		return
-	}
-	for _, r := range l.meta {
-		r.HostZero()
-	}
+	return &launcher{kernel: m.Kernel(), model: m}
 }
 
 // classStats accumulates one SLO class's counters.
@@ -405,7 +385,9 @@ func runFleet(cfg ClusterConfig) (*ClusterRunResult, error) {
 				continue
 			}
 			d.w.SetBatch(batch)
-			d.l.beginEpoch(rep.Launches)
+			if d.l.model != nil {
+				d.l.model.BeginEpoch(uint64(rep.Launches))
+			}
 			if cfg.FailAtLaunch == rep.Launches && d.id == cfg.FailDevice {
 				after := cfg.FailAfterBlocks
 				if after <= 0 {
