@@ -53,7 +53,7 @@ func (b *Block) Cycles() int64 { return b.cycles }
 // SetStoreHook installs a per-block store hook, returning the previous
 // one. The block hook shadows the device-level hook for this block's
 // stores, and it lasts at most as long as the block: kernel wrappers
-// (core.Instrument, ep.Wrap, the sbrp and strict models) use it rather
+// (core.Instrument, the ep, sbrp and strict models) use it rather
 // than Device.SetStoreHook so that their hook can never observe another
 // block's stores. They restore the previous hook without defer; if a
 // watchdog abort unwinds the kernel first, the device's reset of the
