@@ -84,13 +84,13 @@ persistcheck-smoke:
 persistcheck-soak:
 	$(GO) run ./cmd/lpcheck -seed 1 -n 100000 -duration 10m
 
-# model-smoke: every registered persistency model (lp, ep, sbrp, strict)
-# through its unit contract, a seeded crash campaign, and the model
-# checker's backend sweep — race detector on. Exits non-zero on any
-# prediction/recovery mismatch or contract violation.
+# model-smoke: the model checker's backend sweep over every registered
+# persistency model (lp, ep, sbrp, strict), race detector on. The
+# models' unit contracts and seeded crash campaign (internal/pmodel,
+# faultsim's TestModelCampaign) run in `go test -race ./...` — the race
+# target and the CI test job — and are not repeated here. Exits non-zero
+# on any prediction/recovery mismatch or contract violation.
 model-smoke:
-	$(GO) test -race ./internal/pmodel/
-	$(GO) test -race -run 'TestModelCampaign|TestModelCaseReproducible' ./internal/faultsim/
 	$(GO) run -race ./cmd/lpcheck -model all -kernels tmm,spmv -seed 1 -n 20 -quiet
 
 # model-soak: the full model × workload crash campaign plus a deep model
@@ -99,14 +99,11 @@ model-soak:
 	$(GO) run ./cmd/lpfault -model all -seeds 8 -parallel 4
 	$(GO) run ./cmd/lpcheck -model all -seed 1 -n 4000 -quiet
 
-# serve-smoke: the MEGA-KV serving layer under race, the root
-# determinism pin (two runs, byte-identical reports), and a quick
-# mid-serving crash sweep over every persistency model. Exits non-zero
-# on any report divergence, ledger violation, recovery mismatch or
-# panic.
+# serve-smoke: a quick mid-serving crash sweep over every persistency
+# model. The serving layer's race tests and the root determinism pin run
+# in `go test -race ./...`. Exits non-zero on any ledger violation,
+# recovery mismatch or panic.
 serve-smoke:
-	$(GO) test -race ./internal/serve/
-	$(GO) test -race -count=1 -run 'TestServeDeterminism' .
 	$(GO) run ./cmd/lpfault -serve -seeds 2 -parallel 4
 
 # serve-soak: the fuller serving sweep for scheduled CI — more crash
@@ -116,17 +113,13 @@ serve-soak:
 	$(GO) run ./cmd/lpfault -serve -seeds 8 -parallel 4
 	$(GO) run ./cmd/lpbench -exp serve -parallel 4
 
-# replica-smoke: replicated durable placement under race (placer and
-# adoption unit contracts, the cluster-backed serving layer), the root
-# determinism pin (the replicated run twice, the campaign at host fan-out
-# 1 vs 8), and a quick R in {1,2} failover sweep over every registered
-# persistency model — every R>=2 case must
-# recover via replica adoption with zero re-executed blocks and a
-# bit-exact pool audit. Exits non-zero on any contract breach, mismatch
+# replica-smoke: a quick R in {1,2} failover sweep over every registered
+# persistency model — every R>=2 case must recover via replica adoption
+# with zero re-executed blocks and a bit-exact pool audit. The placer and
+# adoption unit contracts and the root determinism pins run in
+# `go test -race ./...`. Exits non-zero on any contract breach, mismatch
 # or panic.
 replica-smoke:
-	$(GO) test -race -run 'TestReplica|TestPlacer|TestCluster' ./internal/cluster/ ./internal/serve/ ./internal/faultsim/
-	$(GO) test -race -count=1 -run 'TestParallelDeterminismReplicatedCluster|TestServeClusterDeterminism' .
 	$(GO) run ./cmd/lpfault -replicas -rfactors 1,2 -model all -jobs 4 -seeds 2 -parallel 4
 
 # replica-soak: the fuller replicated-failover sweep for scheduled CI —

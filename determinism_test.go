@@ -159,10 +159,10 @@ func runRecovery(t *testing.T) recoveryRun {
 	lp := core.New(dev, core.DefaultConfig(), grid, blk)
 	kernel := w.Kernel(lp)
 
-	dev.SetCrashTrigger(&gpusim.CrashTrigger{AfterBlocks: grid.Size() / 2})
+	dev.CrashAfter(grid.Size() / 2)
 	res := dev.Launch("tmm", grid, blk, kernel)
 	if !res.Interrupted {
-		t.Fatal("crash trigger did not fire")
+		t.Fatal("mid-launch crash did not fire")
 	}
 	rep, err := lp.ValidateAndRecover(kernel, w.Recompute(), 3)
 	if err != nil {
@@ -227,56 +227,21 @@ func runSelfHeal(t *testing.T) selfHealRun {
 	dcfg.WatchdogSteps = 50_000
 	dev := gpusim.MustNew(dcfg, mem)
 
-	grid, blk := gpusim.D1(32), gpusim.D1(64)
-	n := grid.Size() * blk.Size()
-	locks := dev.Alloc("locks", grid.Size()*8)
-	out := dev.Alloc("out", n*4)
-	locks.HostZero()
-	out.HostZero()
+	fill := kernels.NewFill(dev, 32, 64, 12345, true)
+	grid, blk := fill.Geometry()
 	lp := core.New(dev, core.DefaultConfig(), grid, blk)
-	kernel := func(b *gpusim.Block) {
-		b.ForAll(func(th *gpusim.Thread) {
-			if th.Linear == 0 {
-				for th.AtomicCASU64(locks, b.LinearIdx, 0, 1) != 0 {
-					th.Op(1)
-				}
-			}
-		})
-		r := lp.Begin(b)
-		b.ForAll(func(th *gpusim.Thread) {
-			gid := th.GlobalLinear()
-			v := uint32(gid)*2654435761 + 12345
-			th.StoreU32(out, gid, v)
-			r.Update(th, v)
-		})
-		b.ForAll(func(th *gpusim.Thread) {
-			if th.Linear == 0 {
-				th.AtomicExchU64(locks, b.LinearIdx, 0)
-			}
-		})
-		r.Commit()
-	}
-	recompute := func(b *gpusim.Block, r *core.Region) {
-		b.ForAll(func(th *gpusim.Thread) {
-			r.Update(th, th.LoadU32(out, th.GlobalLinear()))
-		})
-	}
+	kernel := fill.Kernel(lp)
 
 	// A planted stuck-at pins block 9's lock word "held": re-execution
 	// livelocks and the watchdog must abort it identically in both runs.
-	mem.PlantStuckAt(locks.Base+9*8, 0, 1)
+	mem.PlantStuckAt(fill.Locks().Base+9*8, 0, 1)
 	res := dev.Launch("lockfill", grid, blk, kernel)
 	if res.Watchdog == nil {
 		mem.Crash()
 	}
-	rep, err := lp.SelfHeal(kernel, recompute, core.HealOpts{
+	rep, err := lp.SelfHeal(kernel, fill.Recompute(), core.HealOpts{
 		MaxAttempts: 5,
-		RegionOf: func(line uint64) int {
-			if line < out.Base || line >= out.Base+uint64(n*4) {
-				return -1
-			}
-			return int(line-out.Base) / (blk.Size() * 4)
-		},
+		RegionOf:    func(line uint64) int { return fill.RegionOf(line, 1) },
 	})
 	var deg *core.DegradedError
 	if err != nil && !errors.As(err, &deg) {

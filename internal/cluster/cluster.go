@@ -3,19 +3,22 @@
 // simulated clock, a selectable router dispatches kernel launches (jobs)
 // across them, and every completed job's durable bytes are published
 // into a shared durable memsim image (the pool) — each job is a shard of
-// the cluster's persistent state.
+// the cluster's persistent state. Every job runs a slice of one dense
+// kernels.Fill, so the pool's expected image is computable.
 //
 // The robustness core is the device-failure protocol. A seeded injector
-// arms whole-device failures mid-launch: fail-stop (instant death, cache
-// lost, NVM harvestable), hang (silence detected when the per-device
-// heartbeat stream stays quiet past a timeout, then an external abort
-// reclaims a crash-consistent image), and transient stall (hang followed
-// by a rejoin). Failover fences the lost shard's range in the pool,
-// harvests the dead device's durable bytes — the partially-persisted
-// data slice plus its persistency model's durable metadata (the Lazy
-// Persistency checksum table encodes presence in-band and therefore
-// survives a raw copy) — imports them into a surviving device at
-// identical addresses, and has the model repair exactly the in-flight
+// arms whole-device failures mid-launch, each as one gpusim CrashAfter
+// at a block boundary of the job's launch: the cache is lost and the
+// NVM image stays harvestable. The three kinds differ only in what the
+// control plane sees afterwards: fail-stop is detected at the crash and
+// the device is dead; hang is detected once the device stays silent for
+// the heartbeat timeout, and the device is fenced out for good; a
+// transient stall is a hang whose device rejoins later. Failover fences
+// the lost shard's range in the pool, harvests the dead device's durable
+// bytes — the partially-persisted data slice plus its persistency
+// model's durable metadata (the Lazy Persistency checksum table encodes
+// presence in-band and therefore survives a raw copy) — imports them
+// into a surviving device at identical addresses, and has the model repair exactly the in-flight
 // blocks there with one Model.RecoverShard call (LP validates its
 // checksums and re-executes the failed blocks, EP replays its redo log
 // first, and the flag models re-execute the unflagged blocks), with
@@ -51,6 +54,7 @@ import (
 
 	"gpulp/internal/core"
 	"gpulp/internal/gpusim"
+	"gpulp/internal/kernels"
 	"gpulp/internal/memsim"
 	"gpulp/internal/pmodel"
 )
@@ -96,10 +100,6 @@ type Config struct {
 	// LP selects the persistency design point. BlocksPerJob must be a
 	// multiple of the fusion factor so shard boundaries align to regions.
 	LP core.Config
-	// HeartbeatTimeout is the silence (in simulated cycles past the last
-	// heartbeat) after which a hung device is declared lost (default
-	// 25_000).
-	HeartbeatTimeout int64
 	// MaxFailovers bounds the failover attempts per lost job (default 3;
 	// FailoverDisabled forbids failover entirely — every lost job
 	// degrades immediately).
@@ -120,6 +120,11 @@ type Config struct {
 	// exercising retry, backoff and degraded paths deterministically.
 	FailRecoveryAttempts int
 }
+
+// heartbeatTimeout is the silence, in simulated cycles past a hung
+// device's last heartbeat, after which the control plane declares it
+// lost.
+const heartbeatTimeout = 25_000
 
 // FailoverDisabled, as Config.MaxFailovers, gives failover a zero
 // budget: every lost job degrades immediately (MaxFailovers = 0 keeps
@@ -147,9 +152,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.BlockThreads <= 0 {
 		c.BlockThreads = 32
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 25_000
 	}
 	if c.MaxFailovers == 0 {
 		c.MaxFailovers = 3
@@ -243,8 +245,8 @@ type node struct {
 	id    int
 	mem   *memsim.Memory
 	dev   *gpusim.Device
+	fill  *kernels.Fill
 	model pmodel.Model
-	out   memsim.Region
 	state DeviceState
 	// freeAt is when the device's launch queue drains; rejoinAt is when a
 	// stalled device becomes routable again.
@@ -318,10 +320,12 @@ type Cluster struct {
 	blk    gpusim.Dim3
 	pool   *memsim.Memory
 	nodes  []*node
-	router Router
 	placer Placer
 	plans  map[int]FailurePlan
-	salt   uint32
+	// base is the fill output's address, identical on every device and
+	// in the pool; rrLast is round-robin routing's last pick.
+	base   uint64
+	rrLast int
 	// holders[j] lists, in placement order, the devices holding a
 	// durable copy of job j's shard (replicas, then the publisher).
 	// Tracked only when Replicas > 1.
@@ -362,12 +366,12 @@ func New(cfg Config) (*Cluster, error) {
 		blk:          gpusim.D1(cfg.BlockThreads),
 		pool:         pool,
 		plans:        map[int]FailurePlan{},
-		salt:         uint32(splitmix(cfg.Seed ^ 0xc105_7e4d)),
+		rrLast:       -1,
 		done:         make([]bool, cfg.Jobs),
 		holders:      make([][]int, cfg.Jobs),
 		failRecovery: cfg.FailRecoveryAttempts,
 	}
-	n := c.grid.Size() * c.blk.Size()
+	salt := uint32(splitmix(cfg.Seed ^ 0xc105_7e4d))
 	spec := pmodel.MustLookup(cfg.Model)
 	lpCfg := cfg.LP
 	for i := 0; i < cfg.Devices; i++ {
@@ -381,14 +385,15 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		dev.SetIdentity(i, fmt.Sprintf("gpu%d", i))
 		nd := &node{id: i, mem: mem, dev: dev}
-		nd.out = dev.Alloc("out", n*4)
-		nd.out.HostZero()
-		nd.model = spec.New(dev, &clusterWorkload{c: c, nd: nd}, pmodel.Options{
+		nd.fill = kernels.NewFill(dev, c.grid.Size(), cfg.BlockThreads, salt, false)
+		nd.model = spec.New(dev, nd.fill, pmodel.Options{
 			LP:        &lpCfg,
 			MaxRounds: cfg.MaxRounds,
 		})
 		c.nodes = append(c.nodes, nd)
-		if nd.out.Base != c.nodes[0].out.Base {
+		if base := nd.fill.Outputs()[0].Base; i == 0 {
+			c.base = base
+		} else if base != c.base {
 			panic("cluster: device memory layouts diverged — cross-device import is unsound")
 		}
 	}
@@ -397,11 +402,10 @@ func New(cfg Config) (*Cluster, error) {
 			p.AfterBlocks = 1
 		}
 		if p.Kind == TransientStall && p.RejoinCycles <= 0 {
-			p.RejoinCycles = 4 * cfg.HeartbeatTimeout
+			p.RejoinCycles = 4 * heartbeatTimeout
 		}
 		c.plans[p.Job] = p
 	}
-	c.router = newRouter(cfg.Router)
 	c.placer = cfg.CustomPlacer
 	if c.placer == nil {
 		c.placer = newPlacer(cfg.Placer)
@@ -421,10 +425,6 @@ func MustNew(cfg Config) *Cluster {
 	}
 	return c
 }
-
-// Word returns the expected durable value of global thread gid — the
-// audit oracle for the pool image.
-func (c *Cluster) Word(gid int) uint32 { return uint32(gid)*2654435761 + c.salt }
 
 // Pool returns the shared durable image.
 func (c *Cluster) Pool() *memsim.Memory { return c.pool }
@@ -450,51 +450,7 @@ func (c *Cluster) jobBytes() int { return c.cfg.BlocksPerJob * c.cfg.BlockThread
 // jobAddr returns the job's base address — identical in every device and
 // in the pool (layouts are asserted equal at construction).
 func (c *Cluster) jobAddr(j int) uint64 {
-	return c.nodes[0].out.Base + uint64(j*c.jobBytes())
-}
-
-// clusterWorkload adapts the cluster's dense fill — every thread stores
-// one word of its job's shard — to the pmodel.Workload contract, so any
-// registered persistency model can protect a device's shard writes.
-type clusterWorkload struct {
-	c  *Cluster
-	nd *node
-}
-
-func (w *clusterWorkload) Name() string                         { return "cluster-fill" }
-func (w *clusterWorkload) Geometry() (gpusim.Dim3, gpusim.Dim3) { return w.c.grid, w.c.blk }
-func (w *clusterWorkload) Outputs() []memsim.Region             { return []memsim.Region{w.nd.out} }
-
-func (w *clusterWorkload) Kernel(lp *core.LP) gpusim.KernelFunc {
-	return func(b *gpusim.Block) {
-		r := lp.Begin(b)
-		b.ForAll(func(t *gpusim.Thread) {
-			gid := t.GlobalLinear()
-			v := w.c.Word(gid)
-			t.StoreU32(w.nd.out, gid, v)
-			r.Update(t, v)
-		})
-		r.Commit()
-	}
-}
-
-func (w *clusterWorkload) Recompute() core.RecomputeFunc {
-	return func(b *gpusim.Block, r *core.Region) {
-		b.ForAll(func(t *gpusim.Thread) {
-			r.Update(t, t.LoadU32(w.nd.out, t.GlobalLinear()))
-		})
-	}
-}
-
-// foldBlock replays one block of the fill from a raw durable image in
-// thread order — the pmodel.BlockFolder LP's quorum-harvest judge
-// refolds replica checksums with.
-func (c *Cluster) foldBlock(img []byte, block int, emit func(bits uint32)) {
-	base := c.nodes[0].out.Base
-	for t := 0; t < c.cfg.BlockThreads; t++ {
-		gid := block*c.cfg.BlockThreads + t
-		emit(memsim.ImageU32(img, base+uint64(gid)*4))
-	}
+	return c.base + uint64(j*c.jobBytes())
 }
 
 // alive counts the non-dead devices.
@@ -531,13 +487,7 @@ func (c *Cluster) route(j int) *node {
 	if len(cands) == 0 {
 		return nil
 	}
-	pick := c.router.Pick(j, c.Owner(j), cands)
-	for _, nd := range c.nodes {
-		if nd.id == pick && nd.state != Dead {
-			return nd
-		}
-	}
-	panic(fmt.Sprintf("cluster: router %s picked non-candidate device %d for job %d", c.router.Name(), pick, j))
+	return c.nodes[c.pick(j, cands)]
 }
 
 // Run dispatches every job, failing over around injected device losses.
@@ -608,30 +558,16 @@ func (c *Cluster) runJob(j int, nd *node) {
 		start = c.revive(nd, start)
 	}
 
+	// Every failure kind crashes the device at the same block boundary: a
+	// hung device's volatile state is dropped exactly as its eventual
+	// reclaim would leave it. The kinds differ only in the detection
+	// latency and rejoin charged below.
 	plan, hasPlan := c.plans[j]
 	if hasPlan {
-		switch plan.Kind {
-		case FailStop:
-			nd.dev.SetCrashTrigger(&gpusim.CrashTrigger{
-				AfterBlocks: plan.AfterBlocks,
-				Fire:        func(*gpusim.Device) { nd.mem.Crash() },
-			})
-		case Hang, TransientStall:
-			// The injected hang: the device goes silent after AfterBlocks.
-			// Simulated as an external abort at that block boundary — the
-			// volatile state is dropped exactly as the eventual reclaim of
-			// a genuinely hung device would leave it.
-			dev := nd.dev
-			nd.dev.SetHeartbeat(func(hb gpusim.Heartbeat) {
-				if hb.Blocks >= plan.AfterBlocks {
-					dev.RequestAbort()
-				}
-			})
-		}
+		nd.dev.CrashAfter(plan.AfterBlocks)
 	}
 	res := nd.dev.LaunchSelected(fmt.Sprintf("job-%d", j), c.grid, c.blk, nd.model.Kernel(), c.jobBlocks(j))
-	nd.dev.SetHeartbeat(nil)
-	nd.dev.SetCrashTrigger(nil)
+	nd.dev.CrashAfter(0)
 	nd.busy += res.Cycles
 	nd.jobs++
 	end := start + res.Cycles
@@ -654,11 +590,11 @@ func (c *Cluster) runJob(j int, nd *node) {
 		nd.state = Dead
 	case Hang:
 		nd.state = Dead
-		detectAt = end + c.cfg.HeartbeatTimeout
+		detectAt = end + heartbeatTimeout
 		c.rep.HeartbeatTimeouts++
 	case TransientStall:
 		nd.state = Stalled
-		detectAt = end + c.cfg.HeartbeatTimeout
+		detectAt = end + heartbeatTimeout
 		nd.rejoinAt = detectAt + plan.RejoinCycles
 		c.rep.HeartbeatTimeouts++
 	}
@@ -785,7 +721,7 @@ func (c *Cluster) adopt(j int, dead *node) *node {
 		if r == dead || r.state == Dead {
 			continue
 		}
-		if r.model.ShardIntact(r.mem.NVMImage(), blocks, c.foldBlock) {
+		if r.model.ShardIntact(r.mem.NVMImage(), blocks, r.fill.FoldBlock) {
 			return r
 		}
 	}
@@ -860,7 +796,7 @@ func (c *Cluster) failover(j int, dead *node, detectAt int64) {
 			c.failRecovery--
 			r.state = Dead
 			r.mem.Crash()
-			r.freeAt = start + c.cfg.HeartbeatTimeout
+			r.freeAt = start + heartbeatTimeout
 			if r.freeAt > c.now {
 				c.now = r.freeAt
 			}
@@ -958,20 +894,13 @@ func (c *Cluster) finishReport() {
 // the expected fill values bit-exactly. Lost (fenced) shards are
 // excluded — that exclusion is exactly the degraded-mode contract.
 func (c *Cluster) Verify() error {
-	img := c.pool.NVMImage()
-	wordsPerJob := c.jobBytes() / 4
-	for j := 0; j < c.cfg.Jobs; j++ {
-		if !c.done[j] {
-			continue
-		}
-		for w := 0; w < wordsPerJob; w++ {
-			gid := j*wordsPerJob + w
-			addr := c.jobAddr(j) + uint64(w*4)
-			if got := memsim.ImageU32(img, addr); got != c.Word(gid) {
-				return fmt.Errorf("cluster: pool image diverges at job %d word %d (addr %#x): got %#x want %#x",
-					j, w, addr, got, c.Word(gid))
-			}
-		}
+	fill := c.nodes[0].fill
+	gid, got := fill.Diverged(c.pool.NVMImage(), func(block int) bool { return !c.done[block/c.cfg.BlocksPerJob] })
+	if gid < 0 {
+		return nil
 	}
-	return nil
+	wordsPerJob := c.jobBytes() / 4
+	j, w := gid/wordsPerJob, gid%wordsPerJob
+	return fmt.Errorf("cluster: pool image diverges at job %d word %d (addr %#x): got %#x want %#x",
+		j, w, c.jobAddr(j)+uint64(w*4), got, fill.Word(gid))
 }

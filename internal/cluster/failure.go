@@ -15,10 +15,10 @@ const (
 	// dropped (the NVM image stays harvestable) and the device never
 	// responds again. Detected at the moment of the crash.
 	FailStop FailureKind = iota
-	// Hang stops the device's forward progress mid-launch without killing
-	// it; the control plane detects the silence when the per-device
-	// heartbeat stream stays quiet past HeartbeatTimeout, then fences the
-	// device out for good.
+	// Hang stops the device's forward progress mid-launch, crashing it at
+	// the same block boundary as FailStop; the control plane detects the
+	// silence once the device has been quiet for the heartbeat timeout
+	// (25,000 cycles), then fences the device out for good.
 	Hang
 	// TransientStall is Hang followed by a rejoin: the device comes back
 	// RejoinCycles after detection and is routable again, but its
@@ -97,7 +97,8 @@ type FailurePlan struct {
 	// failure hits (default 1; at most BlocksPerJob).
 	AfterBlocks int `json:"after_blocks"`
 	// RejoinCycles, for TransientStall, is the delay after detection
-	// before the device is routable again (default 4 × HeartbeatTimeout).
+	// before the device is routable again (default 4 × the heartbeat
+	// timeout, 100,000 cycles).
 	RejoinCycles int64 `json:"rejoin_cycles,omitempty"`
 }
 

@@ -98,7 +98,8 @@ func newPlacer(k PlacerKind) Placer {
 }
 
 // pickAfter returns up to n candidate ids cyclically following anchor in
-// ascending id order — the shared kernel of both built-in placements.
+// ascending id order — the shared kernel of both built-in placements and
+// of round-robin and region-affinity routing.
 func pickAfter(anchor, n int, cands []DeviceView) []int {
 	if n <= 0 {
 		return nil

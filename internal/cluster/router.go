@@ -80,7 +80,8 @@ func (k *RouterKind) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// DeviceView is the router-visible state of one routable device.
+// DeviceView is the router- and placer-visible state of one routable
+// device.
 type DeviceView struct {
 	// ID is the device identity (0..Devices-1).
 	ID int
@@ -93,74 +94,25 @@ type DeviceView struct {
 	Jobs int
 }
 
-// Router is a dispatch policy, one per RouterKind. Pick chooses one of
-// the candidate devices (non-empty, ascending ID) for a job whose shard
-// owner is owner, returning the chosen device's ID. Implementations must
-// be deterministic functions of their inputs and internal state — the
-// cluster's determinism contract extends to routing.
-type Router interface {
-	Name() string
-	Pick(job, owner int, candidates []DeviceView) int
-}
-
-// newRouter builds the built-in router for k.
-func newRouter(k RouterKind) Router {
-	switch k {
-	case RoundRobin:
-		return &roundRobinRouter{last: -1}
+// pick returns the id of the device cfg.Router sends job j to, among the
+// routable candidates (non-empty, ascending id). Round-robin takes the
+// next id after its last pick, cyclically; least-loaded the fewest busy
+// cycles, ties to the lowest id; region-affinity the shard owner, or
+// else the next routable id after it, cyclically. Every choice is a
+// deterministic function of the run so far.
+func (c *Cluster) pick(j int, cands []DeviceView) int {
+	switch c.cfg.Router {
 	case LeastLoaded:
-		return leastLoadedRouter{}
+		best := cands[0]
+		for _, d := range cands[1:] {
+			if d.BusyCycles < best.BusyCycles {
+				best = d
+			}
+		}
+		return best.ID
 	case RegionAffinity:
-		return affinityRouter{}
+		return pickAfter(c.Owner(j)-1, 1, cands)[0]
 	}
-	panic(fmt.Sprintf("cluster: no built-in router for %v", k))
-}
-
-type roundRobinRouter struct{ last int }
-
-func (r *roundRobinRouter) Name() string { return RoundRobin.String() }
-
-func (r *roundRobinRouter) Pick(job, owner int, cands []DeviceView) int {
-	pick := cands[0].ID
-	for _, c := range cands {
-		if c.ID > r.last {
-			pick = c.ID
-			break
-		}
-	}
-	r.last = pick
-	return pick
-}
-
-type leastLoadedRouter struct{}
-
-func (leastLoadedRouter) Name() string { return LeastLoaded.String() }
-
-func (leastLoadedRouter) Pick(job, owner int, cands []DeviceView) int {
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.BusyCycles < best.BusyCycles {
-			best = c
-		}
-	}
-	return best.ID
-}
-
-type affinityRouter struct{}
-
-func (affinityRouter) Name() string { return RegionAffinity.String() }
-
-func (affinityRouter) Pick(job, owner int, cands []DeviceView) int {
-	for _, c := range cands {
-		if c.ID == owner {
-			return c.ID
-		}
-	}
-	// Owner lost: next routable id after the owner, cyclically.
-	for _, c := range cands {
-		if c.ID > owner {
-			return c.ID
-		}
-	}
-	return cands[0].ID
+	c.rrLast = pickAfter(c.rrLast, 1, cands)[0]
+	return c.rrLast
 }

@@ -71,8 +71,8 @@ func (lp *LP) recomputeStates(name string, recompute RecomputeFunc, blocks []int
 // returns the linear indices of every block belonging to a failed
 // region, in ascending order, plus the combined launch timing. The error
 // is non-nil (and typed) when the checksum store cannot be interrogated,
-// and when a validation launch is interrupted (a crash trigger, the
-// watchdog or RequestAbort): a partial recompute proves nothing about
+// and when a validation launch is interrupted (a gpusim CrashAfter crash
+// or the watchdog): a partial recompute proves nothing about
 // the blocks it never reached, so the verdict is withheld and the error
 // wraps ErrUnrecoverable, with the cycles spent so far.
 func (lp *LP) Validate(recompute RecomputeFunc) ([]int, gpusim.LaunchResult, error) {

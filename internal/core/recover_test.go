@@ -272,14 +272,14 @@ func TestConcurrentRecoveryIndependentSystems(t *testing.T) {
 	}
 }
 
-// abortLaunch arms dev to abort the first launch named name after its
-// first block retires (an external RequestAbort, which crashes the
-// hierarchy at that block boundary).
+// abortLaunch arms dev to crash the first launch named name after its
+// first block retires: CrashAfter armed from the heartbeat applies to the
+// launch in flight, crashing the hierarchy at that block boundary.
 func abortLaunch(dev *gpusim.Device, name string) {
 	dev.SetHeartbeat(func(hb gpusim.Heartbeat) {
 		if hb.Launch == name {
 			dev.SetHeartbeat(nil)
-			dev.RequestAbort()
+			dev.CrashAfter(1)
 		}
 	})
 }
@@ -300,11 +300,10 @@ func TestRecoveryInterruptedLaunchRule(t *testing.T) {
 			func(lp *LP, k gpusim.KernelFunc, rec RecomputeFunc) (RecoveryReport, error) {
 				return lp.ValidateAndRecover(k, rec, 3)
 			}, 1, "core: validation launch aborted (1/64 blocks): persistent state unrecoverable"},
-		{"hardened/validation", func(dev *gpusim.Device) {
-			dev.SetCrashTrigger(&gpusim.CrashTrigger{AfterBlocks: 5, Fire: func(d *gpusim.Device) { d.Mem().Crash() }})
-		}, func(lp *LP, k gpusim.KernelFunc, rec RecomputeFunc) (RecoveryReport, error) {
-			return lp.RecoverHardened(k, rec, RecoverOpts{})
-		}, 1, "core: validation launch aborted (5/64 blocks): persistent state unrecoverable"},
+		{"hardened/validation", func(dev *gpusim.Device) { dev.CrashAfter(5) },
+			func(lp *LP, k gpusim.KernelFunc, rec RecomputeFunc) (RecoveryReport, error) {
+				return lp.RecoverHardened(k, rec, RecoverOpts{})
+			}, 1, "core: validation launch aborted (5/64 blocks): persistent state unrecoverable"},
 		{"validate-and-recover/repair", func(dev *gpusim.Device) { abortLaunch(dev, "lp-recover") },
 			func(lp *LP, k gpusim.KernelFunc, rec RecomputeFunc) (RecoveryReport, error) {
 				return lp.ValidateAndRecover(k, rec, 3)

@@ -93,7 +93,7 @@ type ShardRecoverOpts struct {
 // kernel, flushes the repairs durable, and repeats — with deterministic
 // exponential backoff between rounds — until the subset validates clean
 // or MaxRounds is exhausted (a typed error wrapping ErrUnrecoverable).
-// Any launch aborted mid-recovery (watchdog or external RequestAbort)
+// Any launch interrupted mid-recovery (a CrashAfter crash or the watchdog)
 // also surfaces as a typed ErrUnrecoverable error, so a cluster failover
 // path can fail over again to the next surviving device.
 func (lp *LP) RecoverBlocks(kernel gpusim.KernelFunc, recompute RecomputeFunc, blocks []int, opts ShardRecoverOpts) (RecoveryReport, error) {

@@ -139,11 +139,11 @@ func (c *ClusterCampaign) Run() (*ClusterReport, error) {
 			makespan += res.MakespanCycles
 			coverage += res.Coverage
 			switch res.Outcome {
-			case FailoverRecovered:
+			case Recovered:
 				cell.Recovered++
-			case FailoverDegraded:
+			case Degraded:
 				cell.Degraded++
-			case FailoverTypedError:
+			case TypedError:
 				cell.TypedErrors++
 			default:
 				cell.Failures++

@@ -58,7 +58,7 @@ func TestClusterCampaignCaseShape(t *testing.T) {
 	c := smallClusterCampaign(1)
 	cs := FailoverCase{Devices: 2, Replicas: 1, Kind: cluster.FailStop, Router: cluster.RoundRobin, Model: "lp", Seed: 0xabcdef}
 	r1 := c.RunFailoverCase(cs)
-	if r1.Outcome != FailoverRecovered {
+	if r1.Outcome != Recovered {
 		t.Fatalf("case did not recover: %+v", r1)
 	}
 	if r1.FailJob < 0 || r1.FailJob >= c.Jobs {

@@ -35,74 +35,10 @@ func (c FailoverCase) String() string {
 		c.Devices, c.Replicas, c.Kind, c.Router, c.Placer, c.Model, c.Seed)
 }
 
-// FailoverOutcome classifies one failover case.
-type FailoverOutcome int
-
-const (
-	// FailoverAdopted: the failure was absorbed by adopting a surviving
-	// replica — zero re-execution — and the pool is bit-exact. The
-	// required outcome for every R >= 2 case.
-	FailoverAdopted FailoverOutcome = iota
-	// FailoverRecovered: every job completed (the killed device's shard
-	// was re-executed on a survivor) and the pool is bit-exact. The
-	// required shape for R = 1.
-	FailoverRecovered
-	// FailoverDegraded: jobs were lost but the run returned the typed
-	// DegradedClusterError and every completed shard is bit-exact
-	// (honest only at R = 1; replicated cases must not degrade on a
-	// single failure).
-	FailoverDegraded
-	// FailoverTypedError: the run surfaced another typed recovery error.
-	FailoverTypedError
-	// FailoverContract: the run claimed success but broke the
-	// replication contract — an R >= 2 case that re-executed or
-	// degraded instead of adopting, or an R = 1 case that adopted.
-	FailoverContract
-	// FailoverMismatch: the run claimed success but a completed shard's
-	// durable bytes diverge — silent corruption.
-	FailoverMismatch
-	// FailoverPanicked: the runtime panicked.
-	FailoverPanicked
-)
-
-// String implements fmt.Stringer.
-func (o FailoverOutcome) String() string {
-	switch o {
-	case FailoverAdopted:
-		return "adopted"
-	case FailoverRecovered:
-		return "recovered"
-	case FailoverDegraded:
-		return "degraded"
-	case FailoverTypedError:
-		return "typed-error"
-	case FailoverContract:
-		return "CONTRACT"
-	case FailoverMismatch:
-		return "MISMATCH"
-	case FailoverPanicked:
-		return "PANIC"
-	}
-	return fmt.Sprintf("FailoverOutcome(%d)", int(o))
-}
-
-// MarshalJSON writes the readable String form.
-func (o FailoverOutcome) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("%q", o.String())), nil
-}
-
-// Failed reports whether the outcome violates the campaign contract:
-// recover bit-exactly in the shape the replication factor demands,
-// degrade honestly with the typed error, or report another typed error —
-// never lie, never panic.
-func (o FailoverOutcome) Failed() bool {
-	return o == FailoverContract || o == FailoverMismatch || o == FailoverPanicked
-}
-
 // FailoverResult reports one executed case.
 type FailoverResult struct {
-	Case    FailoverCase    `json:"case"`
-	Outcome FailoverOutcome `json:"outcome"`
+	Case    FailoverCase `json:"case"`
+	Outcome Outcome      `json:"outcome"`
 	// FailJob and AfterBlocks are the seed-derived failure time.
 	FailJob     int `json:"fail_job"`
 	AfterBlocks int `json:"after_blocks"`
@@ -169,7 +105,7 @@ func (w FailoverWorkload) RunFailoverCase(cs FailoverCase) (res FailoverResult) 
 	res = FailoverResult{Case: cs, Coverage: 1}
 	defer func() {
 		if r := recover(); r != nil {
-			res.Outcome = FailoverPanicked
+			res.Outcome = Panicked
 			res.Err = fmt.Sprintf("panic: %v", r)
 		}
 	}()
@@ -202,7 +138,7 @@ func (w FailoverWorkload) RunFailoverCase(cs FailoverCase) (res FailoverResult) 
 		}},
 	})
 	if err != nil {
-		res.Outcome = FailoverTypedError
+		res.Outcome = TypedError
 		res.Err = err.Error()
 		return res
 	}
@@ -220,9 +156,9 @@ func (w FailoverWorkload) RunFailoverCase(cs FailoverCase) (res FailoverResult) 
 
 	var deg *cluster.DegradedClusterError
 	if err != nil && !errors.As(err, &deg) {
-		res.Outcome = FailoverMismatch
+		res.Outcome = Mismatch
 		if core.IsTypedRecoveryError(err) {
-			res.Outcome = FailoverTypedError
+			res.Outcome = TypedError
 		}
 		res.Err = err.Error()
 		return res
@@ -232,7 +168,7 @@ func (w FailoverWorkload) RunFailoverCase(cs FailoverCase) (res FailoverResult) 
 	}
 	// The run claims success, full or degraded: the pool must back it.
 	if verr := cl.Verify(); verr != nil {
-		res.Outcome = FailoverMismatch
+		res.Outcome = Mismatch
 		res.Err = verr.Error()
 		return res
 	}
@@ -242,20 +178,20 @@ func (w FailoverWorkload) RunFailoverCase(cs FailoverCase) (res FailoverResult) 
 		// A replicated single-device failure has a surviving copy by
 		// construction; degrading instead of adopting breaks the
 		// availability contract.
-		res.Outcome = FailoverContract
+		res.Outcome = Contract
 	case deg != nil:
-		res.Outcome = FailoverDegraded
+		res.Outcome = Degraded
 	case replicated && (rep.Adopted < 1 || rep.ReexecutedBlocks > 0):
-		res.Outcome = FailoverContract
+		res.Outcome = Contract
 		res.Err = fmt.Sprintf("replicated case adopted=%d reexec=%d: failure must be absorbed by replica adoption",
 			rep.Adopted, rep.ReexecutedBlocks)
 	case !replicated && rep.Adopted > 0:
-		res.Outcome = FailoverContract
+		res.Outcome = Contract
 		res.Err = fmt.Sprintf("unreplicated case claims %d adoptions", rep.Adopted)
 	case replicated:
-		res.Outcome = FailoverAdopted
+		res.Outcome = Adopted
 	default:
-		res.Outcome = FailoverRecovered
+		res.Outcome = Recovered
 	}
 	return res
 }

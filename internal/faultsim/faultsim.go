@@ -148,21 +148,45 @@ func (c Case) String() string {
 	return s
 }
 
-// Outcome classifies a case result.
+// Outcome classifies one case of any campaign. Each campaign reports the
+// subset its contract admits, and the strings are what JSON failure lists
+// and progress lines print.
 type Outcome int
 
 const (
-	// Recovered means recovery succeeded and the durable image is
-	// bit-exact against the fault-free golden run.
+	// Recovered: recovery succeeded and the durable image is bit-exact
+	// against the fault-free reference (the golden run, or the crash-free
+	// serving run at the same launch). A failover case recovers when
+	// every job completed, the killed device's shard re-executed on a
+	// survivor — the required shape at R = 1.
 	Recovered Outcome = iota
-	// TypedError means recovery reported a typed corruption error
-	// (ErrUnrecoverable / ErrStoreCorrupt) — an acceptable, honest
-	// outcome for damage beyond repair.
+	// Adopted: a failover case absorbed the failure by adopting a
+	// surviving replica — zero re-execution — and the pool is bit-exact.
+	// The required outcome for every R >= 2 case.
+	Adopted
+	// Healed: SelfHeal reported clean and the durable image is bit-exact.
+	Healed
+	// Degraded: the run completed in degraded mode with its typed error
+	// (core.DegradedError, cluster.DegradedClusterError), and every
+	// surviving region or shard is bit-exact — the honest partial
+	// success. A replicated failover case must not degrade on a single
+	// failure.
+	Degraded
+	// TypedError: the run reported a typed error (ErrUnrecoverable,
+	// ErrStoreCorrupt, or a case it cannot run) instead of recovering —
+	// an acceptable, honest outcome for damage beyond repair.
 	TypedError
-	// Mismatch means recovery claimed success but the durable image
-	// diverges from golden — silent corruption, a campaign failure.
+	// Unrecoverable: SelfHeal reported a typed unrecoverable error.
+	Unrecoverable
+	// Contract: a failover run claimed success but broke the replication
+	// contract — an R >= 2 case that re-executed or degraded instead of
+	// adopting, or an R = 1 case that adopted.
+	Contract
+	// Mismatch: the run claimed success but the durable image diverges,
+	// or a serving run's admission ledger is violated — silent
+	// corruption.
 	Mismatch
-	// Panicked means the runtime panicked — always a campaign failure.
+	// Panicked: the runtime panicked.
 	Panicked
 )
 
@@ -171,8 +195,18 @@ func (o Outcome) String() string {
 	switch o {
 	case Recovered:
 		return "recovered"
+	case Adopted:
+		return "adopted"
+	case Healed:
+		return "healed"
+	case Degraded:
+		return "degraded"
 	case TypedError:
 		return "typed-error"
+	case Unrecoverable:
+		return "unrecoverable"
+	case Contract:
+		return "CONTRACT"
 	case Mismatch:
 		return "MISMATCH"
 	case Panicked:
@@ -181,9 +215,10 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// Failed reports whether the outcome violates the campaign contract
-// (recover bit-exact or return a typed error — never panic, never lie).
-func (o Outcome) Failed() bool { return o == Mismatch || o == Panicked }
+// Failed reports whether the outcome violates its campaign's contract:
+// recover or heal bit-exactly, degrade honestly, or report a typed error
+// — never lie, never panic.
+func (o Outcome) Failed() bool { return o == Contract || o == Mismatch || o == Panicked }
 
 // MarshalJSON writes the readable String form.
 func (o Outcome) MarshalJSON() ([]byte, error) { return json.Marshal(o.String()) }
@@ -255,13 +290,6 @@ type Golden struct {
 // Output returns the golden durable bytes of output region i.
 func (g *Golden) Output(i int) []byte { return g.outputs[i] }
 
-// WrittenOffsets returns the byte offsets of output region i the kernel
-// actually wrote (the media-error target set).
-func (g *Golden) WrittenOffsets(i int) []int { return g.written[i] }
-
-// NumOutputs returns the number of output regions in the golden image.
-func (g *Golden) NumOutputs() int { return len(g.outputs) }
-
 // GoldenRun computes the golden image for a kernel by running it on a
 // fresh fault-free system and flushing everything durable.
 func GoldenRun(opt Options, kernel string) (g *Golden, err error) {
@@ -319,18 +347,19 @@ func splitmix(x uint64) uint64 {
 func seedAt(base, pos uint64) uint64 { return splitmix(base ^ splitmix(pos)) }
 
 // Strike lands one fault of the given kind on a freshly set-up system and
-// is the only place a Kind strikes. MidKernelCrash arms a crash trigger
-// after afterBlocks block completions and launches kernel, leaving the
-// grid partial. Every other kind launches kernel to completion and then
-// crashes the hierarchy (CleanCrash), writes a random subset of dirty
-// lines back before the crash (PartialEviction), also tears some of those
-// write-backs (TornWriteback), or crashes and flips bits: in the bytes the
-// kernel wrote according to golden (DataBitFlips), or in one of the
-// persistency model's metadata regions, which tables lists and is called
-// only for this kind (StoreBitFlips). A zero afterBlocks or flips is drawn
-// from rng; the draws happen in a fixed order, so a case replays from its
-// seed. It returns the crash point of a mid-kernel crash and the number of
-// bits flipped.
+// is the only place a Kind strikes. MidKernelCrash arms gpusim's
+// CrashAfter at afterBlocks block completions and launches kernel,
+// leaving the grid partial; a crash point past the grid is an error, as
+// the launch would run fault-free. Every other kind launches kernel to
+// completion and then crashes the hierarchy (CleanCrash), writes a random
+// subset of dirty lines back before the crash (PartialEviction), also
+// tears some of those write-backs (TornWriteback), or crashes and flips
+// bits: in the bytes the kernel wrote according to golden (DataBitFlips),
+// or in one of the persistency model's metadata regions, which tables
+// lists and is called only for this kind (StoreBitFlips). A zero
+// afterBlocks or flips is drawn from rng; the draws happen in a fixed
+// order, so a case replays from its seed. It returns the crash point of a
+// mid-kernel crash and the number of bits flipped.
 func Strike(dev *gpusim.Device, rng *rand.Rand, kind Kind, afterBlocks, flips int,
 	w kernels.Workload, kernel gpusim.KernelFunc, golden *Golden, tables func() []memsim.Region) (crashedAfter, injected int, err error) {
 	if kind < 0 || kind >= numKinds {
@@ -342,10 +371,10 @@ func Strike(dev *gpusim.Device, rng *rand.Rand, kind Kind, afterBlocks, flips in
 		if afterBlocks <= 0 {
 			afterBlocks = 1 + rng.Intn(grid.Size())
 		}
-		dev.SetCrashTrigger(&gpusim.CrashTrigger{
-			AfterBlocks: afterBlocks,
-			Fire:        func(*gpusim.Device) { mem.Crash() },
-		})
+		if afterBlocks > grid.Size() {
+			return 0, 0, fmt.Errorf("faultsim: mid-kernel crash after %d blocks lies past the %d-block grid of %s", afterBlocks, grid.Size(), w.Name())
+		}
+		dev.CrashAfter(afterBlocks)
 		dev.Launch(w.Name(), grid, blk, kernel)
 		return afterBlocks, 0, nil
 	}

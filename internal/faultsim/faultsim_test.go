@@ -1,8 +1,11 @@
 package faultsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"gpulp/internal/kernels"
 )
 
 // TestCampaignSmoke runs a small but complete campaign — every fault
@@ -67,6 +70,28 @@ func TestMidKernelCrashPinned(t *testing.T) {
 	}
 	if res.Outcome != Recovered {
 		t.Fatalf("mid-kernel crash at block 3 did not recover: %+v", res)
+	}
+}
+
+// TestMidKernelCrashPointBounds: a crash point at the grid's last block
+// still crashes and recovers, while one past the grid is refused as a
+// typed error instead of running fault-free and reporting recovered.
+func TestMidKernelCrashPointBounds(t *testing.T) {
+	opt := DefaultOptions()
+	golden, err := GoldenRun(opt, "spmv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, _ := kernels.New("spmv", opt.Scale).Geometry()
+	n := grid.Size()
+	at := RunCase(opt, Case{Kernel: "spmv", Kind: MidKernelCrash, Seed: 1, AfterBlocks: n}, golden)
+	if at.Outcome != Recovered || at.CrashedAfter != n || at.FirstRoundFailed == 0 {
+		t.Fatalf("crash after all %d blocks: %+v, want a recovered crash with damage", n, at)
+	}
+	past := RunCase(opt, Case{Kernel: "spmv", Kind: MidKernelCrash, Seed: 1, AfterBlocks: n + 1}, golden)
+	want := fmt.Sprintf("faultsim: mid-kernel crash after %d blocks lies past the %d-block grid of spmv", n+1, n)
+	if past.Outcome != TypedError || past.Err != want {
+		t.Fatalf("crash point past the grid: %v (%s), want typed-error (%s)", past.Outcome, past.Err, want)
 	}
 }
 

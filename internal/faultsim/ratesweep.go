@@ -15,12 +15,13 @@ import (
 
 	"gpulp/internal/core"
 	"gpulp/internal/gpusim"
+	"gpulp/internal/kernels"
 	"gpulp/internal/memsim"
 	"gpulp/internal/parwork"
 )
 
-// RateSweep sweeps the online media-error rate over a dense LP-protected
-// fill workload (the workload's data layout is known exactly, so the
+// RateSweep sweeps the online media-error rate over kernels.Fill, the
+// dense LP-protected fill (its data layout is known exactly, so the
 // self-healer gets a precise line→region quarantine mapping).
 type RateSweep struct {
 	Opt Options
@@ -68,56 +69,11 @@ func DefaultRateSweep(seeds int) *RateSweep {
 	}
 }
 
-// HealOutcome classifies one rate-sweep case.
-type HealOutcome int
-
-const (
-	// Healed: SelfHeal reported clean and the durable image is bit-exact.
-	Healed HealOutcome = iota
-	// Degraded: SelfHeal completed in degraded mode and every surviving
-	// region's durable bytes are bit-exact — the honest partial success.
-	Degraded
-	// Unrecoverable: SelfHeal reported a typed unrecoverable error.
-	Unrecoverable
-	// HealMismatch: SelfHeal claimed success (full or degraded) but a
-	// surviving region's durable bytes diverge — silent corruption.
-	HealMismatch
-	// HealPanic: the runtime panicked.
-	HealPanic
-)
-
-// String implements fmt.Stringer.
-func (o HealOutcome) String() string {
-	switch o {
-	case Healed:
-		return "healed"
-	case Degraded:
-		return "degraded"
-	case Unrecoverable:
-		return "unrecoverable"
-	case HealMismatch:
-		return "MISMATCH"
-	case HealPanic:
-		return "PANIC"
-	}
-	return fmt.Sprintf("HealOutcome(%d)", int(o))
-}
-
-// MarshalJSON writes the readable String form.
-func (o HealOutcome) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("%q", o.String())), nil
-}
-
-// Failed reports whether the outcome violates the sweep contract: heal
-// bit-exactly, degrade honestly, or report a typed error — never lie,
-// never panic.
-func (o HealOutcome) Failed() bool { return o == HealMismatch || o == HealPanic }
-
 // RateResult reports one executed case.
 type RateResult struct {
-	Rate    float64     `json:"rate"`
-	Seed    uint64      `json:"seed"`
-	Outcome HealOutcome `json:"outcome"`
+	Rate    float64 `json:"rate"`
+	Seed    uint64  `json:"seed"`
+	Outcome Outcome `json:"outcome"`
 	// Attempts, ScrubHealed, Uncorrectable, QuarantinedBytes, Coverage and
 	// WatchdogAborts summarize the case's HealReport.
 	Attempts         int     `json:"attempts"`
@@ -267,7 +223,7 @@ func (s *RateSweep) RunRateCase(rate float64, seed uint64) (res RateResult) {
 	res = RateResult{Rate: rate, Seed: seed, Coverage: 1}
 	defer func() {
 		if r := recover(); r != nil {
-			res.Outcome = HealPanic
+			res.Outcome = Panicked
 			res.Err = fmt.Sprintf("panic: %v", r)
 		}
 	}()
@@ -284,39 +240,22 @@ func (s *RateSweep) RunRateCase(rate float64, seed uint64) (res RateResult) {
 	mem := memsim.MustNew(mcfg)
 	dev := gpusim.MustNew(dcfg, mem)
 
-	grid, blk := gpusim.D1(s.Blocks), gpusim.D1(s.BlockThreads)
-	n := grid.Size() * blk.Size()
-	var locks memsim.Region
-	if s.Locks {
-		locks = dev.Alloc("locks", grid.Size()*8)
-		locks.HostZero()
-	}
-	out := dev.Alloc("out", n*4)
-	out.HostZero()
+	fill := kernels.NewFill(dev, s.Blocks, s.BlockThreads, 12345, s.Locks)
+	grid, blk := fill.Geometry()
 	lp := core.New(dev, s.Opt.LP, grid, blk)
 	ck := core.CaptureCheckpoint(mem)
-	kernel := s.fillKernel(locks, out, lp)
+	kernel := fill.Kernel(lp)
 
 	lres := dev.Launch("rate-fill", grid, blk, kernel)
 	if lres.Watchdog == nil {
 		mem.Crash()
 	}
 
-	fusion := s.Opt.LP.Fusion
-	if fusion < 1 {
-		fusion = 1
-	}
-	blockBytes := uint64(blk.Size() * 4)
-	regionOf := func(line uint64) int {
-		if line < out.Base || line >= out.Base+uint64(n*4) {
-			return -1
-		}
-		return int((line-out.Base)/blockBytes) / fusion
-	}
-	rep, err := lp.SelfHeal(kernel, s.fillRecompute(out), core.HealOpts{
+	fusion := max(s.Opt.LP.Fusion, 1)
+	rep, err := lp.SelfHeal(kernel, fill.Recompute(), core.HealOpts{
 		MaxAttempts: s.MaxAttempts,
 		Checkpoint:  ck,
-		RegionOf:    regionOf,
+		RegionOf:    func(line uint64) int { return fill.RegionOf(line, fusion) },
 	})
 	res.Attempts = rep.Attempts
 	res.ScrubHealed = rep.ScrubHealed
@@ -325,86 +264,33 @@ func (s *RateSweep) RunRateCase(rate float64, seed uint64) (res RateResult) {
 	res.Coverage = rep.Coverage
 	res.WatchdogAborts = rep.WatchdogAborts
 
+	// A clean or degraded claim must be backed by every surviving
+	// region's durable words; any divergence is a Mismatch.
+	audit := func(claimed Outcome, skip func(block int) bool) Outcome {
+		if gid, _ := fill.Diverged(mem.NVMImage(), skip); gid >= 0 {
+			return Mismatch
+		}
+		return claimed
+	}
 	var deg *core.DegradedError
 	switch {
 	case err == nil:
-		res.Outcome = s.auditImage(mem, out, blk.Size(), fusion, nil, Healed)
+		res.Outcome = audit(Healed, nil)
 	case errors.As(err, &deg):
 		skip := map[int]bool{}
 		for _, reg := range deg.Regions {
 			skip[reg] = true
 		}
 		res.Err = err.Error()
-		res.Outcome = s.auditImage(mem, out, blk.Size(), fusion, skip, Degraded)
+		res.Outcome = audit(Degraded, func(block int) bool { return skip[block/fusion] })
 	case core.IsTypedRecoveryError(err):
 		res.Outcome = Unrecoverable
 		res.Err = err.Error()
 	default:
-		res.Outcome = HealMismatch
+		res.Outcome = Mismatch
 		res.Err = err.Error()
 	}
 	return res
-}
-
-// auditImage verifies the durable fill values of every non-quarantined
-// region and downgrades the claimed outcome to HealMismatch on any
-// divergence.
-func (s *RateSweep) auditImage(mem *memsim.Memory, out memsim.Region, blkSize, fusion int, skip map[int]bool, claimed HealOutcome) HealOutcome {
-	img := mem.NVMImage()
-	for gid := 0; gid < s.Blocks*blkSize; gid++ {
-		if skip[(gid/blkSize)/fusion] {
-			continue
-		}
-		if memsim.ImageU32(img, out.Base+uint64(gid*4)) != fillValue(gid) {
-			return HealMismatch
-		}
-	}
-	return claimed
-}
-
-// fillValue is the expected durable word of global thread gid.
-func fillValue(gid int) uint32 { return uint32(gid)*2654435761 + 12345 }
-
-// fillKernel is the sweep's dense LP-protected workload: each thread
-// stores one checksummed word. With Locks armed, thread 0 wraps the block
-// in a per-block spin lock, making a stuck-at lock cell a livelock the
-// watchdog must abort.
-func (s *RateSweep) fillKernel(locks, out memsim.Region, lp *core.LP) gpusim.KernelFunc {
-	return func(b *gpusim.Block) {
-		if s.Locks {
-			b.ForAll(func(t *gpusim.Thread) {
-				if t.Linear == 0 {
-					for t.AtomicCASU64(locks, b.LinearIdx, 0, 1) != 0 {
-						t.Op(1)
-					}
-				}
-			})
-		}
-		r := lp.Begin(b)
-		b.ForAll(func(t *gpusim.Thread) {
-			gid := t.GlobalLinear()
-			v := fillValue(gid)
-			t.StoreU32(out, gid, v)
-			r.Update(t, v)
-		})
-		if s.Locks {
-			b.ForAll(func(t *gpusim.Thread) {
-				if t.Linear == 0 {
-					t.AtomicExchU64(locks, b.LinearIdx, 0)
-				}
-			})
-		}
-		r.Commit()
-	}
-}
-
-// fillRecompute refolds each block's durable outputs.
-func (s *RateSweep) fillRecompute(out memsim.Region) core.RecomputeFunc {
-	return func(b *gpusim.Block, r *core.Region) {
-		b.ForAll(func(t *gpusim.Thread) {
-			r.Update(t, t.LoadU32(out, t.GlobalLinear()))
-		})
-	}
 }
 
 // Render writes the report as an aligned text table.

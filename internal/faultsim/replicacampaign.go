@@ -166,13 +166,13 @@ func (c *ReplicaCampaign) Run() (*ReplicaReport, error) {
 				rep.RecoveredWithoutReexec++
 			}
 			switch res.Outcome {
-			case FailoverAdopted:
+			case Adopted:
 				cell.Adopted++
-			case FailoverRecovered:
+			case Recovered:
 				cell.Recovered++
-			case FailoverDegraded:
+			case Degraded:
 				cell.Degraded++
-			case FailoverTypedError:
+			case TypedError:
 				cell.TypedErrors++
 			default:
 				cell.Failures++

@@ -93,7 +93,7 @@ func TestReplicaCampaignCaseShape(t *testing.T) {
 	c := smallReplicaCampaign(1)
 	cs := FailoverCase{Devices: c.Devices, Replicas: 2, Kind: cluster.FailStop, Placer: cluster.Spread, Model: "lp", Seed: 0xabcdef}
 	r1 := c.RunFailoverCase(cs)
-	if r1.Outcome != FailoverAdopted {
+	if r1.Outcome != Adopted {
 		t.Fatalf("case did not adopt: %+v", r1)
 	}
 	if r1.FailJob < 0 || r1.FailJob >= c.Jobs {

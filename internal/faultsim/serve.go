@@ -33,52 +33,10 @@ func (c ServeCase) String() string {
 	return fmt.Sprintf("serve/%s seed=%#x", c.Model, c.Seed)
 }
 
-// ServeOutcome classifies one serve case.
-type ServeOutcome int
-
-const (
-	// ServeRecovered: the crash was absorbed in-loop, the post-recovery
-	// durable image matches the crash-free run's bit for bit, and the
-	// admission ledger verifies at the end of the run.
-	ServeRecovered ServeOutcome = iota
-	// ServeTypedError: the run surfaced a typed error instead of
-	// recovering (honest refusal).
-	ServeTypedError
-	// ServeMismatch: the run claimed recovery but the durable image
-	// diverges from the crash-free run, or the ledger is violated —
-	// silent corruption.
-	ServeMismatch
-	// ServePanicked: the serving loop panicked.
-	ServePanicked
-)
-
-// String implements fmt.Stringer.
-func (o ServeOutcome) String() string {
-	switch o {
-	case ServeRecovered:
-		return "recovered"
-	case ServeTypedError:
-		return "typed-error"
-	case ServeMismatch:
-		return "MISMATCH"
-	case ServePanicked:
-		return "PANIC"
-	}
-	return fmt.Sprintf("ServeOutcome(%d)", int(o))
-}
-
-// MarshalJSON writes the readable String form.
-func (o ServeOutcome) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("%q", o.String())), nil
-}
-
-// Failed reports whether the outcome violates the serving contract.
-func (o ServeOutcome) Failed() bool { return o == ServeMismatch || o == ServePanicked }
-
 // ServeResult reports one executed case.
 type ServeResult struct {
-	Case    ServeCase    `json:"case"`
-	Outcome ServeOutcome `json:"outcome"`
+	Case    ServeCase `json:"case"`
+	Outcome Outcome   `json:"outcome"`
 	// CrashLaunch and AfterBlocks are the seed-derived crash point.
 	CrashLaunch int `json:"crash_launch"`
 	AfterBlocks int `json:"after_blocks"`
@@ -193,9 +151,9 @@ func (c *ServeCampaign) Run() (*ServeReport, error) {
 			recovery += res.RecoveryCycles
 			launches += int64(res.Launches)
 			switch res.Outcome {
-			case ServeRecovered:
+			case Recovered:
 				cell.Recovered++
-			case ServeTypedError:
+			case TypedError:
 				cell.TypedErrors++
 			default:
 				cell.Failures++
@@ -218,7 +176,7 @@ func (c *ServeCampaign) RunServeCase(cs ServeCase) (res ServeResult) {
 	res = ServeResult{Case: cs}
 	defer func() {
 		if r := recover(); r != nil {
-			res.Outcome = ServePanicked
+			res.Outcome = Panicked
 			res.Err = fmt.Sprintf("panic: %v", r)
 		}
 	}()
@@ -234,13 +192,13 @@ func (c *ServeCampaign) RunServeCase(cs ServeCase) (res ServeResult) {
 	// launch from the seed so early and late epochs both get coverage.
 	probe, err := serve.Run(cfg)
 	if err != nil {
-		res.Outcome = ServeTypedError
+		res.Outcome = TypedError
 		res.Err = err.Error()
 		return res
 	}
 	launches := probe.Report.Launches
 	if launches < 2 {
-		res.Outcome = ServeTypedError
+		res.Outcome = TypedError
 		res.Err = fmt.Sprintf("golden run made only %d launches; no interior crash point", launches)
 		return res
 	}
@@ -250,7 +208,7 @@ func (c *ServeCampaign) RunServeCase(cs ServeCase) (res ServeResult) {
 	cfg.ObserveAtLaunch = res.CrashLaunch
 	golden, err := serve.Run(cfg)
 	if err != nil {
-		res.Outcome = ServeTypedError
+		res.Outcome = TypedError
 		res.Err = err.Error()
 		return res
 	}
@@ -260,7 +218,7 @@ func (c *ServeCampaign) RunServeCase(cs ServeCase) (res ServeResult) {
 	crash.CrashAfterBlocks = res.AfterBlocks
 	r, err := serve.Run(crash)
 	if err != nil {
-		res.Outcome = ServeTypedError
+		res.Outcome = TypedError
 		res.Err = err.Error()
 		return res
 	}
@@ -269,29 +227,29 @@ func (c *ServeCampaign) RunServeCase(cs ServeCase) (res ServeResult) {
 	res.RecoveryCycles = r.Report.RecoveryCycles
 
 	if r.Report.Recoveries != 1 {
-		res.Outcome = ServeMismatch
+		res.Outcome = Mismatch
 		res.Err = fmt.Sprintf("crashed run reported %d recoveries, want 1", r.Report.Recoveries)
 		return res
 	}
 	gObs, cObs := golden.Observed(), r.Observed()
 	if len(gObs) == 0 || len(gObs) != len(cObs) {
-		res.Outcome = ServeMismatch
+		res.Outcome = Mismatch
 		res.Err = fmt.Sprintf("observation snapshots missing or mismatched (%d vs %d)", len(gObs), len(cObs))
 		return res
 	}
 	for i := range gObs {
 		if !bytes.Equal(gObs[i], cObs[i]) {
-			res.Outcome = ServeMismatch
+			res.Outcome = Mismatch
 			res.Err = fmt.Sprintf("durable output %d after recovery diverges from the crash-free image at launch %d", i, res.CrashLaunch)
 			return res
 		}
 	}
 	if err := r.VerifyLedger(); err != nil {
-		res.Outcome = ServeMismatch
+		res.Outcome = Mismatch
 		res.Err = err.Error()
 		return res
 	}
-	res.Outcome = ServeRecovered
+	res.Outcome = Recovered
 	return res
 }
 

@@ -49,7 +49,7 @@ func TestServeCampaignCaseShape(t *testing.T) {
 	c := DefaultServeCampaign(1)
 	cs := ServeCase{Model: "lp", Seed: 0xabcdef}
 	r1 := c.RunServeCase(cs)
-	if r1.Outcome != ServeRecovered {
+	if r1.Outcome != Recovered {
 		t.Fatalf("case did not recover: %+v", r1)
 	}
 	if r1.CrashLaunch < 1 || r1.CrashLaunch >= r1.Launches {

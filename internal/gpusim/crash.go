@@ -1,41 +1,23 @@
 package gpusim
 
-// CrashTrigger arms a one-shot mid-launch crash: the next Launch stops
-// dispatching thread blocks at the trigger point, runs Fire (typically
-// memsim's Crash or PartialCrash), and returns with Interrupted set and
-// only the retired blocks counted. The grid is left genuinely partial —
-// some blocks completed and committed their LP checksums, the rest never
-// existed — which is the failure shape crashes between launch boundaries
-// can never produce.
+// CrashAfter arms a one-shot mid-launch crash: once n blocks of the next
+// launch have retired, the device crashes its memory hierarchy (memsim
+// Crash: every volatile line is dropped, as on a power failure) and the
+// launch returns with Interrupted set and only the retired blocks
+// counted. The grid is left genuinely partial — some blocks completed
+// and committed their LP checksums, the rest never ran — which is the
+// failure shape crashes between launch boundaries can never produce.
+// Apart from the watchdog, it is the only way a launch stops mid-grid.
 //
-// The simulator executes blocks functionally one at a time in dispatch
-// order, so the crash lands on a block boundary of the dispatch sequence;
-// AtCycle is evaluated against the greedy (pre-queueing) schedule, making
-// it a deterministic approximation of "the SMs had reached cycle C".
-// Intra-block partial effects are modeled separately by torn write-backs
-// and partial eviction at the memory layer.
-type CrashTrigger struct {
-	// AtCycle fires before executing the first block whose scheduled
-	// start time reaches this simulated cycle. 0 disables the condition.
-	AtCycle int64
-	// AfterBlocks fires once this many blocks of the launch have retired.
-	// 0 disables the condition.
-	AfterBlocks int
-	// Fire is invoked exactly once when the trigger trips. It should
-	// drop (or partially drop) the memory hierarchy's volatile state.
-	Fire func(d *Device)
-}
-
-// SetCrashTrigger arms t for the next launch (nil disarms). The trigger
-// is one-shot: it is disarmed when it fires, so recovery launches that
-// follow the crash run to completion.
-func (d *Device) SetCrashTrigger(t *CrashTrigger) { d.crash = t }
-
-// fireCrash disarms and runs the trigger.
-func (d *Device) fireCrash() {
-	t := d.crash
-	d.crash = nil
-	if t != nil && t.Fire != nil {
-		t.Fire(d)
-	}
-}
+// The crash is one-shot: it disarms when it fires, so the recovery
+// launches that follow run to completion, while a launch that retires
+// fewer than n blocks leaves it armed for the next one. n <= 0 disarms
+// it. Armed from inside a heartbeat, it applies to the launch in flight:
+// heartbeats run just before the check, so CrashAfter(1) there crashes
+// at that very block boundary.
+//
+// Blocks execute functionally one at a time in dispatch order, so the
+// crash lands on a block boundary of the dispatch sequence. Intra-block
+// partial effects are modeled at the memory layer, by torn write-backs
+// and partial eviction.
+func (d *Device) CrashAfter(n int) { d.crashAfter = n }

@@ -19,11 +19,9 @@ type Device struct {
 	locks     []*Lock
 	storeHook StoreHook
 	traceSink func(LaunchTrace)
-	crash     *CrashTrigger
 	heartbeat HeartbeatFunc
-	// abortPending is set by RequestAbort and honored at the next block
-	// boundary of the launch in flight.
-	abortPending bool
+	// crashAfter is the armed CrashAfter point (0 = disarmed).
+	crashAfter int
 	// id and label identify the device in a multi-device topology.
 	id    int
 	label string
@@ -44,9 +42,9 @@ type Device struct {
 }
 
 // Heartbeat is one liveness report from a launch in flight: the device
-// emits it after every thread-block commit. A cluster control plane uses
-// the stream to detect hangs (silence past a timeout) and to decide
-// where to inject failures.
+// emits it after every thread-block commit. Observers use the stream to
+// time blocks from outside the simulator and to pick the block boundary
+// of a launch to crash (CrashAfter).
 type Heartbeat struct {
 	// Device is the emitting device's identity (SetIdentity).
 	Device int
@@ -59,8 +57,9 @@ type Heartbeat struct {
 }
 
 // HeartbeatFunc observes launch heartbeats. It runs after each block
-// retires, before crash triggers are evaluated, so it must not mutate
-// device memory; calling RequestAbort from inside it is the intended use.
+// retires, just before an armed CrashAfter point is checked, so it must
+// not mutate device memory; calling CrashAfter from inside it crashes the
+// launch in flight.
 type HeartbeatFunc func(hb Heartbeat)
 
 // SetHeartbeat installs fn (nil to remove) and returns the previous one.
@@ -81,15 +80,6 @@ func (d *Device) ID() int { return d.id }
 
 // Label returns the label set by SetIdentity ("" by default).
 func (d *Device) Label() string { return d.label }
-
-// RequestAbort asks the launch in flight to stop at its next block
-// boundary: the launch drops all volatile memory state (exactly the
-// durable image a power failure at that dispatch point would leave) and
-// returns with Interrupted and Aborted set. This is the external kill a
-// cluster control plane uses to reclaim a hung or stalled device. A
-// request made while no launch is in flight is dropped at the next
-// launch's entry.
-func (d *Device) RequestAbort() { d.abortPending = true }
 
 // StoreHook observes every 32-bit data store a kernel performs. It is the
 // mechanism behind directive-style instrumentation: a Lazy Persistency
@@ -170,18 +160,15 @@ type LaunchResult struct {
 	// occupy simultaneously.
 	MaxConcurrency int
 	// Interrupted reports that the launch stopped before the full grid
-	// retired — an armed CrashTrigger fired, or the watchdog aborted a
-	// hung block; Blocks then counts only the blocks that retired.
+	// retired — an armed CrashAfter point was reached, or the watchdog
+	// aborted a hung block; Blocks then counts only the blocks that
+	// retired.
 	Interrupted bool
 	// Watchdog is non-nil when the kernel watchdog aborted the launch
 	// (Config.WatchdogSteps exceeded): it identifies the runaway block.
 	// The memory hierarchy has been crashed to a consistent durable image,
 	// so recovery can proceed as after a power failure.
 	Watchdog *WatchdogError
-	// Aborted reports that an external RequestAbort stopped the launch at
-	// a block boundary (Interrupted is also set, and the hierarchy has
-	// been crashed to a consistent durable image).
-	Aborted bool
 }
 
 // String returns a one-line summary: the kernel name, blocks, cycles,
@@ -218,9 +205,6 @@ func (d *Device) launch(name string, grid, block Dim3, kernel KernelFunc, select
 	d.inLaunch = true
 	defer func() { d.inLaunch = false }()
 	d.launchName = name
-	// An abort request targets the launch in flight; a stale request made
-	// between launches must not kill the next one.
-	d.abortPending = false
 	threadsPerBlock := block.Size()
 	perSM := d.cfg.MaxBlocksPerSM
 	if byThreads := d.cfg.MaxThreadsPerSM / threadsPerBlock; byThreads < perSM {
@@ -312,11 +296,6 @@ func (d *Device) runBlocks(grid, block Dim3, kernel KernelFunc, order []int, slo
 		if minStart := int64(orderIdx) * d.cfg.BlockDispatchCycles; start < minStart {
 			start = minStart
 		}
-		if tr := d.crash; tr != nil && tr.AtCycle > 0 && start >= tr.AtCycle {
-			d.fireCrash()
-			res.Interrupted = true
-			break
-		}
 		b.reset(d, grid, block, lin, start)
 		if wd := runBlockGuarded(kernel, b); wd != nil {
 			// Hung block: drop all volatile state so the durable image is
@@ -334,15 +313,9 @@ func (d *Device) runBlocks(grid, block Dim3, kernel KernelFunc, order []int, slo
 		if hb := d.heartbeat; hb != nil {
 			hb(Heartbeat{Device: d.id, Launch: d.launchName, Blocks: len(d.recs), Cycle: slots[slot]})
 		}
-		if d.abortPending {
-			d.abortPending = false
+		if n := d.crashAfter; n > 0 && len(d.recs) >= n {
+			d.crashAfter = 0
 			d.mem.Crash()
-			res.Interrupted = true
-			res.Aborted = true
-			break
-		}
-		if tr := d.crash; tr != nil && tr.AfterBlocks > 0 && len(d.recs) >= tr.AfterBlocks {
-			d.fireCrash()
 			res.Interrupted = true
 			break
 		}

@@ -73,53 +73,6 @@ func TestHeartbeatStream(t *testing.T) {
 	}
 }
 
-// TestRequestAbort: an externally-requested abort stops the launch at the
-// next block boundary and leaves a crash-consistent image (cache dropped,
-// retired blocks' NVM state preserved).
-func TestRequestAbort(t *testing.T) {
-	d := heartbeatDevice()
-	out := d.Alloc("out", 1024*4)
-	d.SetHeartbeat(func(hb Heartbeat) {
-		if hb.Blocks == 2 {
-			d.RequestAbort()
-		}
-	})
-	res := d.Launch("work", D1(8), D1(128), fillKernel(out))
-	if !res.Interrupted || !res.Aborted {
-		t.Fatalf("abort not honored: %+v", res)
-	}
-	if res.Blocks != 2 {
-		t.Fatalf("aborted after %d blocks, want 2", res.Blocks)
-	}
-	// The cache was dropped: only what had been written back survives.
-	// Un-launched blocks certainly never wrote.
-	img := d.Mem().NVMImage()
-	addr := out.Base + uint64((7*128+5)*4)
-	if got := memsim.ImageU32(img, addr); got != 0 {
-		t.Fatalf("block 7 wrote %d after the abort", got)
-	}
-
-	// The abort is one-shot: the next launch runs clean.
-	d.SetHeartbeat(nil)
-	res = d.Launch("work", D1(8), D1(128), fillKernel(out))
-	if res.Interrupted || res.Aborted || res.Blocks != 8 {
-		t.Fatalf("abort leaked into next launch: %+v", res)
-	}
-}
-
-// TestRequestAbortStaleCleared: an abort requested between launches (e.g.
-// a watchdog firing on a device that already finished) must not kill the
-// next launch.
-func TestRequestAbortStaleCleared(t *testing.T) {
-	d := heartbeatDevice()
-	out := d.Alloc("out", 1024*4)
-	d.RequestAbort()
-	res := d.Launch("work", D1(8), D1(128), fillKernel(out))
-	if res.Interrupted || res.Aborted {
-		t.Fatalf("stale abort killed a fresh launch: %+v", res)
-	}
-}
-
 // TestDeviceIdentity covers the identity plumbing used by the cluster.
 func TestDeviceIdentity(t *testing.T) {
 	d := heartbeatDevice()

@@ -257,16 +257,6 @@ func (t *Thread) AtomicAddI32(r memsim.Region, idx int, v int32) int32 {
 	return old
 }
 
-// AtomicAddF32 atomically adds v to element idx of r, returning the old
-// value. Models CUDA atomicAdd on float.
-func (t *Thread) AtomicAddF32(r memsim.Region, idx int, v float32) float32 {
-	t.recordAtomic(r, idx*4)
-	old, res := r.LoadF32(memsim.AccessAtomic, idx)
-	r.StoreF32(memsim.AccessAtomic, idx, old+v)
-	t.chargeAccess(res)
-	return old
-}
-
 // AtomicAddU64 atomically adds v to element idx of r, returning the old
 // value.
 func (t *Thread) AtomicAddU64(r memsim.Region, idx int, v uint64) uint64 {
@@ -283,18 +273,6 @@ func (t *Thread) AtomicXorU64(r memsim.Region, idx int, v uint64) uint64 {
 	t.recordAtomic(r, idx*8)
 	old, res := r.LoadU64(memsim.AccessAtomic, idx)
 	r.StoreU64(memsim.AccessAtomic, idx, old^v)
-	t.chargeAccess(res)
-	return old
-}
-
-// AtomicMinI32 atomically computes min into element idx of r, returning
-// the old value.
-func (t *Thread) AtomicMinI32(r memsim.Region, idx int, v int32) int32 {
-	t.recordAtomic(r, idx*4)
-	old, res := r.LoadI32(memsim.AccessAtomic, idx)
-	if v < old {
-		r.StoreI32(memsim.AccessAtomic, idx, v)
-	}
 	t.chargeAccess(res)
 	return old
 }

@@ -22,14 +22,6 @@ type Warp struct {
 // Block returns the enclosing block context.
 func (w *Warp) Block() *Block { return w.b }
 
-// LaneLinear returns the block-linear thread id of the given lane.
-func (w *Warp) LaneLinear(lane int) int {
-	if lane < 0 || lane >= w.Lanes {
-		panic(fmt.Sprintf("gpusim: lane %d out of range [0,%d)", lane, w.Lanes))
-	}
-	return w.ID*w.b.dev.cfg.WarpSize + lane
-}
-
 // Op charges n warp instructions.
 func (w *Warp) Op(n int) { w.instrs += int64(n) }
 

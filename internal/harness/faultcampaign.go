@@ -17,6 +17,7 @@ func (r *Runner) FaultCampaign() (*Table, error) {
 	c.Opt.Scale = r.Opt.Scale
 	c.Opt.Dev = r.Opt.Dev
 	c.Opt.LP.Seed = r.Opt.Seed
+	c.Parallel = r.Opt.Parallel
 	rep, err := c.Run()
 	if err != nil {
 		return nil, err

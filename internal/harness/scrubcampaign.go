@@ -17,6 +17,7 @@ func (r *Runner) ScrubCampaign() (*Table, error) {
 	s.Opt.Scale = r.Opt.Scale
 	s.Opt.Dev = r.Opt.Dev
 	s.Opt.LP.Seed = r.Opt.Seed
+	s.Parallel = r.Opt.Parallel
 	rep, err := s.Run()
 	if err != nil {
 		return nil, err

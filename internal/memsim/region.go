@@ -149,9 +149,6 @@ func (r Region) NVMF32(idx int) float32 {
 	return f32FromBytes(r.mem.PeekNVM(r.addr(idx, 4), 4))
 }
 
-// NVMI32 returns the persisted int32 at element idx.
-func (r Region) NVMI32(idx int) int32 { return int32(r.NVMU32(idx)) }
-
 // --- Host initialization (direct to NVM, cache-invalidating) ---
 
 // HostWriteF32s writes vals to the region starting at element 0, directly

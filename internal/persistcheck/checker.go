@@ -319,7 +319,11 @@ func (c *Checker) shrinkKernel(sc KernelScenario) KernelScenario {
 		}
 	}
 	if sc.Fault == faultsim.MidKernelCrash {
+		grid, _ := kernels.New(sc.Kernel, c.Opt.Scale).Geometry()
 		for _, after := range []int{1, 2, 4, 8, 16} {
+			if after > grid.Size() {
+				break // Strike rejects a crash point past the grid
+			}
 			cand := sc
 			cand.AfterBlocks = after
 			if fails(cand) {

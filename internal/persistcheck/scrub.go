@@ -1,6 +1,6 @@
 // Scrub scenario family: property-based checks of the self-healing NVM
 // runtime. Each scenario arms memsim's online media-error process at a
-// seeded rate, runs an LP-protected fill workload for several epochs with
+// seeded rate, runs the LP-protected kernels.Fill for several epochs with
 // a seeded scrub cadence, crashes, and drives core.SelfHeal — holding the
 // run to three properties: the oracle's event-replayed shadow stays
 // bit-exact through faulted write-backs, scrub repairs and stuck-at
@@ -15,6 +15,7 @@ import (
 
 	"gpulp/internal/core"
 	"gpulp/internal/gpusim"
+	"gpulp/internal/kernels"
 	"gpulp/internal/memsim"
 )
 
@@ -108,50 +109,11 @@ func (c *Checker) RunScrub(sc ScrubScenario) (err error) {
 	defer o.Detach()
 	dev := gpusim.MustNew(dcfg, mem)
 
-	grid, blk := gpusim.D1(sc.Blocks), gpusim.D1(sc.BlockThreads)
-	n := grid.Size() * blk.Size()
-	var locks memsim.Region
-	if sc.Locks {
-		locks = dev.Alloc("locks", grid.Size()*8)
-		locks.HostZero()
-	}
-	out := dev.Alloc("out", n*4)
-	out.HostZero()
+	fill := kernels.NewFill(dev, sc.Blocks, sc.BlockThreads, uint32(sc.Seed), sc.Locks)
+	grid, blk := fill.Geometry()
 	lp := core.New(dev, c.Opt.LP, grid, blk)
 	ck := core.CaptureCheckpoint(mem)
-
-	value := func(gid int) uint32 { return uint32(gid)*2654435761 + uint32(sc.Seed) }
-	kernel := func(b *gpusim.Block) {
-		if sc.Locks {
-			b.ForAll(func(t *gpusim.Thread) {
-				if t.Linear == 0 {
-					for t.AtomicCASU64(locks, b.LinearIdx, 0, 1) != 0 {
-						t.Op(1)
-					}
-				}
-			})
-		}
-		r := lp.Begin(b)
-		b.ForAll(func(t *gpusim.Thread) {
-			gid := t.GlobalLinear()
-			v := value(gid)
-			t.StoreU32(out, gid, v)
-			r.Update(t, v)
-		})
-		if sc.Locks {
-			b.ForAll(func(t *gpusim.Thread) {
-				if t.Linear == 0 {
-					t.AtomicExchU64(locks, b.LinearIdx, 0)
-				}
-			})
-		}
-		r.Commit()
-	}
-	recompute := func(b *gpusim.Block, r *core.Region) {
-		b.ForAll(func(t *gpusim.Thread) {
-			r.Update(t, t.LoadU32(out, t.GlobalLinear()))
-		})
-	}
+	kernel := fill.Kernel(lp)
 
 	// Property 1 (checked throughout): faulted write-backs, scrub repairs
 	// and stuck-at forcings must keep the oracle's event-replayed shadow
@@ -181,20 +143,11 @@ func (c *Checker) RunScrub(sc ScrubScenario) (err error) {
 		return fmt.Errorf("%v: post-crash: %w", sc, err)
 	}
 
-	fusion := c.Opt.LP.Fusion
-	if fusion < 1 {
-		fusion = 1
-	}
-	blockBytes := uint64(blk.Size() * 4)
-	rep, herr := lp.SelfHeal(kernel, recompute, core.HealOpts{
+	fusion := max(c.Opt.LP.Fusion, 1)
+	rep, herr := lp.SelfHeal(kernel, fill.Recompute(), core.HealOpts{
 		MaxAttempts: 4,
 		Checkpoint:  ck,
-		RegionOf: func(line uint64) int {
-			if line < out.Base || line >= out.Base+uint64(n*4) {
-				return -1
-			}
-			return int((line-out.Base)/blockBytes) / fusion
-		},
+		RegionOf:    func(line uint64) int { return fill.RegionOf(line, fusion) },
 	})
 
 	// Property 2: SelfHeal never lies — on a clean or degraded
@@ -226,15 +179,9 @@ func (c *Checker) RunScrub(sc ScrubScenario) (err error) {
 	default:
 		return fmt.Errorf("%v: self-heal failed untypedly: %w", sc, herr)
 	}
-	img := mem.NVMImage()
-	for gid := 0; gid < n; gid++ {
-		if quarantined[gid/blk.Size()/fusion] {
-			continue
-		}
-		if got := memsim.ImageU32(img, out.Base+uint64(gid*4)); got != value(gid) {
-			return fmt.Errorf("%v: surviving out[%d] = %#x after self-heal, want %#x (silent corruption)",
-				sc, gid, got, value(gid))
-		}
+	if gid, got := fill.Diverged(mem.NVMImage(), func(block int) bool { return quarantined[block/fusion] }); gid >= 0 {
+		return fmt.Errorf("%v: surviving out[%d] = %#x after self-heal, want %#x (silent corruption)",
+			sc, gid, got, fill.Word(gid))
 	}
 	// The oracle must have followed the whole heal — scrub rewrites,
 	// re-executions, checkpoint restores — too.

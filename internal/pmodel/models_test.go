@@ -107,10 +107,7 @@ func TestModelCrashRecovery(t *testing.T) {
 			w.Setup(dev)
 			grid, blk := w.Geometry()
 			m := spec.New(dev, w, pmodel.Options{})
-			dev.SetCrashTrigger(&gpusim.CrashTrigger{
-				AfterBlocks: grid.Size() / 2,
-				Fire:        func(*gpusim.Device) { mem.Crash() },
-			})
+			dev.CrashAfter(grid.Size() / 2)
 			dev.Launch("tmm", grid, blk, m.Kernel())
 
 			predicted := m.PredictDamage(mem.SnapshotNVM())
@@ -250,10 +247,7 @@ func TestSBRPBufferSpill(t *testing.T) {
 	w.Setup(dev)
 	grid, blk := w.Geometry()
 	m := pmodel.MustLookup("sbrp").New(dev, w, pmodel.Options{SBRPBuffer: 1})
-	dev.SetCrashTrigger(&gpusim.CrashTrigger{
-		AfterBlocks: grid.Size() / 2,
-		Fire:        func(*gpusim.Device) { mem.Crash() },
-	})
+	dev.CrashAfter(grid.Size() / 2)
 	dev.Launch("tmm", grid, blk, m.Kernel())
 	predicted := m.PredictDamage(mem.SnapshotNVM())
 	rep, err := m.Recover()
@@ -281,10 +275,7 @@ func TestStrictOrdering(t *testing.T) {
 	w.Setup(dev)
 	grid, blk := w.Geometry()
 	m := pmodel.MustLookup("strict").New(dev, w, pmodel.Options{})
-	dev.SetCrashTrigger(&gpusim.CrashTrigger{
-		AfterBlocks: 1,
-		Fire:        func(*gpusim.Device) { mem.Crash() },
-	})
+	dev.CrashAfter(1)
 	dev.Launch("tmm", grid, blk, m.Kernel())
 	predicted := m.PredictDamage(mem.SnapshotNVM())
 	if want := grid.Size() - 1; len(predicted) != want {
@@ -318,16 +309,13 @@ func TestFlagReexecInterrupted(t *testing.T) {
 				w.Setup(dev)
 				grid, blk := w.Geometry()
 				m := pmodel.MustLookup(name).New(dev, w, pmodel.Options{})
-				crashAfter := func(n int) {
-					dev.SetCrashTrigger(&gpusim.CrashTrigger{AfterBlocks: n, Fire: func(*gpusim.Device) { mem.Crash() }})
-				}
-				crashAfter(grid.Size() / 2)
+				dev.CrashAfter(grid.Size() / 2)
 				dev.Launch("tmm", grid, blk, m.Kernel())
 				damaged := m.PredictDamage(mem.SnapshotNVM())
 				if len(damaged) < 2 {
 					t.Fatalf("mid-kernel crash left %d damaged blocks, want at least 2", len(damaged))
 				}
-				crashAfter(1) // the re-execution dies after one block
+				dev.CrashAfter(1) // the re-execution dies after one block
 				var err error
 				if entry == "Recover" {
 					_, err = m.Recover()

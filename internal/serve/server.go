@@ -389,15 +389,7 @@ func runFleet(cfg ClusterConfig) (*ClusterRunResult, error) {
 				d.l.model.BeginEpoch(uint64(rep.Launches))
 			}
 			if cfg.FailAtLaunch == rep.Launches && d.id == cfg.FailDevice {
-				after := cfg.FailAfterBlocks
-				if after <= 0 {
-					after = 1
-				}
-				mem := d.mem
-				d.dev.SetCrashTrigger(&gpusim.CrashTrigger{
-					AfterBlocks: after,
-					Fire:        func(*gpusim.Device) { mem.Crash() },
-				})
+				d.dev.CrashAfter(max(cfg.FailAfterBlocks, 1))
 			}
 			res := d.dev.Launch(fmt.Sprintf("megakv-serve#%d", rep.Launches), grid, blk, d.l.kernel)
 			busy := cfg.LaunchOverheadCycles + res.Cycles

@@ -37,13 +37,12 @@ func runModelRecovery(t *testing.T, spec pmodel.Spec) modelRun {
 	lpCfg := core.DefaultConfig()
 	m := spec.New(dev, w, pmodel.Options{LP: &lpCfg})
 
-	// Fire drops volatile cache contents at the crash instant, so the
+	// The crash drops volatile cache contents at that instant, so the
 	// flag-based models see exactly what they made durable.
-	dev.SetCrashTrigger(&gpusim.CrashTrigger{AfterBlocks: grid.Size() / 2,
-		Fire: func(*gpusim.Device) { mem.Crash() }})
+	dev.CrashAfter(grid.Size() / 2)
 	res := dev.Launch("tmm-"+spec.Name, grid, blk, m.Kernel())
 	if !res.Interrupted {
-		t.Fatalf("%s: crash trigger did not fire", spec.Name)
+		t.Fatalf("%s: mid-launch crash did not fire", spec.Name)
 	}
 	predicted := m.PredictDamage(mem.SnapshotNVM())
 	rep, err := m.Recover()
