@@ -47,6 +47,7 @@ func TestGolden(t *testing.T) {
 			c.Models = pmodel.Names()
 			return rendered(c.Run())
 		}},
+		{"campaign-lp", func() (string, any, error) { return rendered(faultsim.DefaultCampaign(1).Run()) }},
 		{"ratesweep", func() (string, any, error) { return rendered(faultsim.DefaultRateSweep(1).Run()) }},
 		{"ratesweep-locks", func() (string, any, error) {
 			s := faultsim.DefaultRateSweep(1)
