@@ -40,9 +40,10 @@ matrix:
 	GOMAXPROCS=4 $(GO) test -short -count=1 -run 'TestParallelDeterminism' .
 
 # smoke: a quick seeded fault-injection sweep (every kernel × fault kind,
-# 8 seeds each). Exits non-zero on any panic or silent mismatch.
+# 8 seeds each). Exits non-zero on any panic or silent mismatch. Reports
+# are byte-identical at any -parallel.
 smoke:
-	$(GO) run ./cmd/lpfault -seeds 8
+	$(GO) run ./cmd/lpfault -seeds 8 -parallel 4
 
 # campaign: the full 204-case robustness campaign from EXPERIMENTS.md.
 campaign:
@@ -52,7 +53,7 @@ campaign:
 # recovery orchestrator (scrub, quarantine, watchdog). Exits non-zero on
 # any dishonest outcome (lying heal, untyped error, panic).
 scrub-smoke:
-	$(GO) run ./cmd/lpfault -ratesweep -seeds 3
+	$(GO) run ./cmd/lpfault -ratesweep -seeds 3 -parallel 4
 
 # scrub-campaign: the fuller sweep from EXPERIMENTS.md, including the
 # spin-lock/stuck-cell configuration.

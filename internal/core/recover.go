@@ -39,29 +39,78 @@ func (lp *LP) launch(name string, grid, blk gpusim.Dim3, kernel gpusim.KernelFun
 	return lp.dev.LaunchSelected(name, grid, blk, kernel, blocks)
 }
 
-// RecomputeStates launches the recompute half of the check kernel alone:
-// a grid of the original geometry in which every block rebuilds its
-// checksum contributions from the durable data, returned per linear
-// block index. It is phase 1 of Validate; the crash-consistency checker
-// (internal/persistcheck, through the pmodel lp model) uses it directly
-// to predict, from its oracle image, exactly which regions validation
-// must reject. Loads of durable data never dirty the hierarchy's
-// write-back state the checker is auditing.
-func (lp *LP) RecomputeStates(recompute RecomputeFunc) ([]checksum.State, gpusim.LaunchResult) {
-	return lp.recomputeStates("lp-validate", recompute, nil)
-}
-
-// recomputeStates is phase 1 of validation over blocks (nil: the whole
-// grid). An unlisted block keeps the zero State, which merges as the
-// identity.
-func (lp *LP) recomputeStates(name string, recompute RecomputeFunc, blocks []int) ([]checksum.State, gpusim.LaunchResult) {
+// recomputeRegions is phase 1 of validation over blocks (nil: the whole
+// grid): every listed block rebuilds its checksum contributions from the
+// durable data, and the partials combine per region (a host-visible
+// mirror of what warp 0 of a gather kernel would compute; checksums are
+// commutative). An unlisted block contributes the zero State, which
+// merges as the identity.
+func (lp *LP) recomputeRegions(name string, recompute RecomputeFunc, blocks []int) ([]checksum.State, gpusim.LaunchResult) {
 	perBlock := make([]checksum.State, lp.grid.Size())
 	res := lp.launch(name, lp.grid, lp.blk, func(b *gpusim.Block) {
 		r := lp.Begin(b)
 		recompute(b, r)
 		perBlock[b.LinearIdx] = r.reduce()
 	}, blocks)
-	return perBlock, res
+	perRegion := make([]checksum.State, lp.regions)
+	for i, st := range perBlock {
+		perRegion[i/lp.fusion].Merge(st)
+	}
+	return perRegion, res
+}
+
+// holds is validation's verdict on region reg: its stored entry is
+// present — for a fused region, merged from every member block, so count
+// must equal the group size — and matches the recomputed checksums. An
+// unfused entry counts 1 when present and 0 when absent.
+func (lp *LP) holds(reg int, stored, recomputed checksum.State, count uint64) bool {
+	want := uint64(1)
+	if lp.fusion > 1 {
+		want = uint64(lp.groupSize(reg))
+	}
+	return count == want && stored.Matches(recomputed, lp.cfg.Checksum)
+}
+
+// ValidateImage is Validate's verdict read from a raw durable image
+// (memsim's NVMImage, or the crash-consistency oracle's shadow of it):
+// the recompute launch rebuilds every region's checksums from durable
+// data, and each region's stored entry is read from img instead of by a
+// lookup launch. It returns the member blocks of every failed region, in
+// ascending order, and errors only when the store cannot serve fused
+// regions. The hierarchy must hold no dirty line, as after a crash: the
+// launch's loads leave durable state untouched, and the lines they filled
+// are dropped afterwards, so the cache is left as the crash left it and a
+// following recovery costs exactly what it would have without the
+// prediction.
+func (lp *LP) ValidateImage(img []byte, recompute RecomputeFunc) ([]int, error) {
+	mem := lp.dev.Mem()
+	if n := mem.DirtyLines(); n > 0 {
+		panic(fmt.Sprintf("core: ValidateImage over %d dirty lines would drop them", n))
+	}
+	var merger hashtab.Merger
+	if lp.fusion > 1 {
+		m, err := lp.merger()
+		if err != nil {
+			return nil, err
+		}
+		merger = m
+	}
+	perRegion, _ := lp.recomputeRegions("lp-validate", recompute, nil)
+	mem.Crash()
+	var failed []int
+	for reg, sum := range perRegion {
+		var stored checksum.State
+		var count uint64
+		if merger != nil {
+			stored, count = merger.ImageLookupCount(img, uint64(reg))
+		} else if s, ok := lp.st.ImageLookup(img, uint64(reg)); ok {
+			stored, count = s, 1
+		}
+		if !lp.holds(reg, stored, sum, count) {
+			failed = lp.appendRegion(failed, reg)
+		}
+	}
+	return failed, nil
 }
 
 // Validate launches the check kernel (§IV-A): a grid of the original
@@ -109,19 +158,11 @@ func (lp *LP) validate(recompute RecomputeFunc, blocks []int) ([]int, gpusim.Lau
 		merger = m
 	}
 	// Phase 1: the blocks recompute their (partial) checksums.
-	perBlock, res := lp.recomputeStates(name, recompute, blocks)
+	perRegion, res := lp.recomputeRegions(name, recompute, blocks)
 	if res.Interrupted {
 		return nil, res, aborted(scope+"validation", res, n)
 	}
-	// Combine partials per region (host-visible mirror of what warp 0 of
-	// a gather kernel would compute; checksums are commutative).
-	perRegion := make([]checksum.State, lp.regions)
-	for i, st := range perBlock {
-		perRegion[i/lp.fusion].Merge(st)
-	}
-	// Phase 2: look the stored checksums up and compare. Fused regions
-	// additionally require every member block's contribution to have
-	// persisted (the contributor count must equal the group size). The
+	// Phase 2: look the stored checksums up and compare (see holds). The
 	// lookup grid has one block per region, so a subset selects exactly
 	// its covered regions. Each validating block owns exactly one region,
 	// so outcomes are written to disjoint slots of failedMark — safe even
@@ -134,17 +175,14 @@ func (lp *LP) validate(recompute RecomputeFunc, blocks []int) ([]int, gpusim.Lau
 				return
 			}
 			reg := b.LinearIdx
-			if lp.fusion > 1 {
-				stored, count := merger.LookupCount(t, uint64(reg))
-				if count != uint64(lp.groupSize(reg)) || !stored.Matches(perRegion[reg], lp.cfg.Checksum) {
-					failedMark[reg] = true
-				}
-				return
+			var stored checksum.State
+			var count uint64
+			if merger != nil {
+				stored, count = merger.LookupCount(t, uint64(reg))
+			} else if s, ok := lp.st.Lookup(t, uint64(reg)); ok {
+				stored, count = s, 1
 			}
-			stored, ok := lp.st.Lookup(t, uint64(reg))
-			if !ok || !stored.Matches(perRegion[reg], lp.cfg.Checksum) {
-				failedMark[reg] = true
-			}
+			failedMark[reg] = !lp.holds(reg, stored, perRegion[reg], count)
 		})
 	}, regs)
 	res.Cycles += lres.Cycles
@@ -245,6 +283,9 @@ type RecoveryReport struct {
 	// FailedPerRound records how many blocks failed validation each
 	// round (the first entry is the post-crash damage).
 	FailedPerRound []int
+	// FirstFailed lists, in ascending order, the blocks the first
+	// validation failed: the post-crash damage itself.
+	FirstFailed []int
 	// ValidateCycles and RecoverCycles are the simulated costs.
 	ValidateCycles int64
 	RecoverCycles  int64
@@ -292,6 +333,9 @@ func (lp *LP) rounds(kernel gpusim.KernelFunc, recompute RecomputeFunc, blocks [
 			return false, err
 		}
 		rep.FailedPerRound = append(rep.FailedPerRound, len(failed))
+		if rep.Rounds == 1 {
+			rep.FirstFailed = failed
+		}
 		if len(failed) == 0 || round == maxRounds {
 			return len(failed) == 0, nil
 		}

@@ -99,7 +99,7 @@ func TestRecoverHardenedSelectiveTier(t *testing.T) {
 		t.Fatalf("plain crash escalated to %v", rep.Tier)
 	}
 	checkGuardOutput(t, out, lp.grid.Size()*lp.blk.Size())
-	pinRecovery(t, rep, err, "{Rounds:2 FailedPerRound:[64 0] ValidateCycles:602 RecoverCycles:177 BackoffCycles:0 Tier:selective}", "")
+	pinRecovery(t, rep, err, "{Rounds:2 FailedPerRound:[64 0] FirstFailed:[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63] ValidateCycles:602 RecoverCycles:177 BackoffCycles:0 Tier:selective}", "")
 }
 
 // TestValidateAndRecoverPinned pins the eager-recovery report on the
@@ -111,7 +111,7 @@ func TestValidateAndRecoverPinned(t *testing.T) {
 	dev.Mem().Crash()
 	rep, err := lp.ValidateAndRecover(kernel, rec, 0)
 	checkGuardOutput(t, out, lp.grid.Size()*lp.blk.Size())
-	pinRecovery(t, rep, err, "{Rounds:2 FailedPerRound:[64 0] ValidateCycles:602 RecoverCycles:177 BackoffCycles:0 Tier:selective}", "")
+	pinRecovery(t, rep, err, "{Rounds:2 FailedPerRound:[64 0] FirstFailed:[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63] ValidateCycles:602 RecoverCycles:177 BackoffCycles:0 Tier:selective}", "")
 
 	dev, lp, in, _, kernel, rec := guardSystem(t)
 	dev.Launch("guard", lp.grid, lp.blk, kernel)
@@ -121,7 +121,7 @@ func TestValidateAndRecoverPinned(t *testing.T) {
 	if !errors.Is(err, ErrUnrecoverable) {
 		t.Fatalf("error is not typed ErrUnrecoverable: %v", err)
 	}
-	pinRecovery(t, rep, err, "{Rounds:3 FailedPerRound:[64 1 1] ValidateCycles:903 RecoverCycles:195 BackoffCycles:0 Tier:selective}", "core: 1 blocks still invalid after 2 recovery rounds: persistent state unrecoverable")
+	pinRecovery(t, rep, err, "{Rounds:3 FailedPerRound:[64 1 1] FirstFailed:[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63] ValidateCycles:903 RecoverCycles:195 BackoffCycles:0 Tier:selective}", "core: 1 blocks still invalid after 2 recovery rounds: persistent state unrecoverable")
 }
 
 // TestRecoverHardenedFullGridTier: a negative MaxRounds skips the
@@ -139,7 +139,7 @@ func TestRecoverHardenedFullGridTier(t *testing.T) {
 		t.Fatalf("tier = %v, want full-grid", rep.Tier)
 	}
 	checkGuardOutput(t, out, lp.grid.Size()*lp.blk.Size())
-	pinRecovery(t, rep, err, "{Rounds:1 FailedPerRound:[0] ValidateCycles:301 RecoverCycles:177 BackoffCycles:0 Tier:full-grid}", "")
+	pinRecovery(t, rep, err, "{Rounds:1 FailedPerRound:[0] FirstFailed:[] ValidateCycles:301 RecoverCycles:177 BackoffCycles:0 Tier:full-grid}", "")
 }
 
 // corruptInput makes one durable input word odd (violating the guard
@@ -172,7 +172,7 @@ func TestRecoverHardenedCheckpointTier(t *testing.T) {
 	if got := in.PeekU32(40); got != 80 {
 		t.Fatalf("checkpoint restore left in[40] = %d, want 80", got)
 	}
-	pinRecovery(t, rep, err, "{Rounds:6 FailedPerRound:[64 1 1 1 1 0] ValidateCycles:1806 RecoverCycles:567 BackoffCycles:0 Tier:checkpoint}", "")
+	pinRecovery(t, rep, err, "{Rounds:6 FailedPerRound:[64 1 1 1 1 0] FirstFailed:[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63] ValidateCycles:1806 RecoverCycles:567 BackoffCycles:0 Tier:checkpoint}", "")
 }
 
 // TestRecoverHardenedUnrecoverableTypedError: the same corruption with
@@ -194,7 +194,7 @@ func TestRecoverHardenedUnrecoverableTypedError(t *testing.T) {
 	if rep.Tier != TierFullGrid {
 		t.Fatalf("tier = %v, want full-grid (the last tier tried without a checkpoint)", rep.Tier)
 	}
-	pinRecovery(t, rep, err, "{Rounds:5 FailedPerRound:[64 1 1 1 1] ValidateCycles:1505 RecoverCycles:390 BackoffCycles:0 Tier:full-grid}", "core: 1 blocks invalid after full-grid-tier recovery: persistent state unrecoverable")
+	pinRecovery(t, rep, err, "{Rounds:5 FailedPerRound:[64 1 1 1 1] FirstFailed:[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63] ValidateCycles:1505 RecoverCycles:390 BackoffCycles:0 Tier:full-grid}", "core: 1 blocks invalid after full-grid-tier recovery: persistent state unrecoverable")
 }
 
 // TestCheckpointRestoreRoundTrip pins checkpoint semantics: restore

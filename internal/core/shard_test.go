@@ -145,7 +145,7 @@ func TestRecoverBlocksRepairsSubset(t *testing.T) {
 			t.Fatalf("out[%d] = %d after recovery, want %d", i, got, want)
 		}
 	}
-	pinRecovery(t, rep, err, "{Rounds:2 FailedPerRound:[2 0] ValidateCycles:62 RecoverCycles:18 BackoffCycles:0 Tier:selective}", "")
+	pinRecovery(t, rep, err, "{Rounds:2 FailedPerRound:[2 0] FirstFailed:[5 6] ValidateCycles:62 RecoverCycles:18 BackoffCycles:0 Tier:selective}", "")
 }
 
 // TestRecoverBlocksGuardSubsetPinned pins RecoverBlocks repairing a
@@ -155,7 +155,7 @@ func TestRecoverBlocksGuardSubsetPinned(t *testing.T) {
 	dev.Launch("guard", lp.grid, lp.blk, kernel)
 	dev.Mem().Crash()
 	rep, err := lp.RecoverBlocks(kernel, rec, []int{12, 3, 40, 41, 3}, ShardRecoverOpts{BackoffBase: 100})
-	pinRecovery(t, rep, err, "{Rounds:2 FailedPerRound:[4 0] ValidateCycles:122 RecoverCycles:57 BackoffCycles:0 Tier:selective}", "")
+	pinRecovery(t, rep, err, "{Rounds:2 FailedPerRound:[4 0] FirstFailed:[3 12 40 41] ValidateCycles:122 RecoverCycles:57 BackoffCycles:0 Tier:selective}", "")
 }
 
 // TestRecoverBlocksUnrecoverable: when re-execution cannot repair (the
@@ -184,9 +184,9 @@ func TestRecoverBlocksUnrecoverable(t *testing.T) {
 	if rep.BackoffCycles != 100 {
 		t.Fatalf("backoff = %d cycles, want 100", rep.BackoffCycles)
 	}
-	pinRecovery(t, rep, err, "{Rounds:3 FailedPerRound:[1 1 1] ValidateCycles:171 RecoverCycles:36 BackoffCycles:100 Tier:selective}", "core: 1 shard blocks still invalid after 2 recovery rounds: persistent state unrecoverable")
+	pinRecovery(t, rep, err, "{Rounds:3 FailedPerRound:[1 1 1] FirstFailed:[9] ValidateCycles:171 RecoverCycles:36 BackoffCycles:100 Tier:selective}", "core: 1 shard blocks still invalid after 2 recovery rounds: persistent state unrecoverable")
 
 	// The default bound (3 rounds) doubles the backoff per retry.
 	rep, err = lp.RecoverBlocks(kernel, rec, []int{9}, ShardRecoverOpts{BackoffBase: 100})
-	pinRecovery(t, rep, err, "{Rounds:4 FailedPerRound:[1 1 1 1] ValidateCycles:196 RecoverCycles:54 BackoffCycles:300 Tier:selective}", "core: 1 shard blocks still invalid after 3 recovery rounds: persistent state unrecoverable")
+	pinRecovery(t, rep, err, "{Rounds:4 FailedPerRound:[1 1 1 1] FirstFailed:[9] ValidateCycles:196 RecoverCycles:54 BackoffCycles:300 Tier:selective}", "core: 1 shard blocks still invalid after 3 recovery rounds: persistent state unrecoverable")
 }

@@ -14,7 +14,6 @@ package faultsim
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -124,8 +123,8 @@ type Case struct {
 	Kind   Kind   `json:"kind"`
 	Seed   uint64 `json:"seed"`
 	// Model selects the persistency model from the pmodel registry.
-	// Empty means "lp", the legacy LP path — recorded cases from before
-	// the registry replay unchanged.
+	// Empty means "lp", so recorded cases from before the registry replay
+	// unchanged.
 	Model string `json:"model,omitempty"`
 	// AfterBlocks pins the mid-kernel crash point (0 = derive from Seed).
 	AfterBlocks int `json:"after_blocks,omitempty"`
@@ -234,7 +233,7 @@ type Result struct {
 	FirstRoundFailed int   `json:"first_round_failed"`
 	Cycles           int64 `json:"cycles"`
 	// ModelTier names the recovery mechanism for non-LP model cases
-	// ("replay+reexec", "release-reexec"); empty on the LP path, whose
+	// ("replay+reexec", "sbrp", "strict"); empty for lp, whose
 	// mechanism is Tier.
 	ModelTier string `json:"model_tier,omitempty"`
 	// CrashedAfter is the number of blocks that retired before a
@@ -417,16 +416,42 @@ func Strike(dev *gpusim.Device, rng *rand.Rand, kind Kind, afterBlocks, flips in
 }
 
 // RunCase executes one fault-injection case end to end: bind the case's
-// persistency model after workload setup, strike the fault at its seeded
-// point, recover, and compare the durable image against golden. LP
-// (Model "", or any spelling pmodel.Lookup resolves to "lp") binds core
-// directly, with the post-setup durable state as its checkpoint, and
-// recovers with RecoverHardened; the result carries its tier, rounds
-// and cycles. Every other model binds through the pmodel registry and
-// is held to its whole contract: PredictDamage from the raw durable
-// image must equal what Recover repairs. It never panics: a runtime
-// panic is converted into the Panicked outcome.
-func RunCase(opt Options, c Case, golden *Golden) (res Result) {
+// persistency model (lp for an empty Model) through the pmodel registry
+// after workload setup, with the post-setup durable state as lp's
+// checkpoint, strike the fault at its seeded point, hold the model to its
+// whole contract — PredictDamage, read from the raw durable image in
+// place, must equal what Recover repairs — and compare the recovered
+// outputs against golden. A case that cannot run (an unknown model, a
+// kind ModelApplicable excludes, a crash point Strike refuses) is a
+// TypedError. It never panics: a runtime panic is converted into the
+// Panicked outcome.
+func RunCase(opt Options, c Case, golden *Golden) Result {
+	res, err := RunAudited(opt, c, golden, 0, 0, nil)
+	if err != nil {
+		return typedError(res, err.Error())
+	}
+	return res
+}
+
+// Audit watches one case's durable image from outside the runner, as the
+// crash-consistency checker's oracle does.
+type Audit interface {
+	// Image returns the durable image the model's PredictDamage reads.
+	Image() []byte
+	// Check compares the memory's real durable image with the audit's
+	// own; the runner calls it after the strike and after recovery.
+	Check() error
+}
+
+// RunAudited is RunCase with what the crash-consistency checker adds:
+// epochs > 1 runs that many epochs, fault-free but for the last one,
+// which the fault strikes; epEntries sizes ep's redo log (0: the model's
+// default); and audit, when non-nil, is attached to the case's memory
+// before anything is allocated on it, after which PredictDamage reads
+// its Image instead of the memory's own durable image. The error is
+// non-nil only for a case that cannot run; everything else is in the
+// Result.
+func RunAudited(opt Options, c Case, golden *Golden, epochs, epEntries int, audit func(*memsim.Memory) Audit) (res Result, err error) {
 	res.Case = c
 	defer func() {
 		if r := recover(); r != nil {
@@ -435,70 +460,64 @@ func RunCase(opt Options, c Case, golden *Golden) (res Result) {
 		}
 	}()
 	spec, ok := lookupModel(c.Model)
-	lp := spec.Name == "lp"
 	switch {
 	case !ok:
-		return typedError(res, fmt.Sprintf("faultsim: unknown persistency model %q", c.Model))
-	case !lp && !ModelApplicable(spec.Name, c.Kernel, c.Kind):
-		return typedError(res, fmt.Sprintf("faultsim: fault kind %v is not applicable to model %s on %s", c.Kind, c.Model, c.Kernel))
+		return res, fmt.Errorf("faultsim: unknown persistency model %q", c.Model)
+	case !ModelApplicable(spec.Name, c.Kernel, c.Kind):
+		return res, fmt.Errorf("faultsim: fault kind %v is not applicable to model %s on %s", c.Kind, spec.Name, c.Kernel)
 	}
 
 	rng := rand.New(rand.NewSource(int64(splitmix(c.Seed))))
 	mem := memsim.MustNew(opt.Mem)
+	image := mem.NVMImage
+	var a Audit
+	if audit != nil {
+		a = audit(mem)
+		image = a.Image
+	}
 	dev := gpusim.MustNew(opt.Dev, mem)
 	w := kernels.New(c.Kernel, opt.Scale)
 	w.Setup(dev)
-	var (
-		rt     *core.LP
-		ck     *core.Checkpoint
-		m      pmodel.Model
-		kernel gpusim.KernelFunc
-		tables func() []memsim.Region
-	)
-	if lp {
+	lpCfg := opt.LP
+	m := spec.New(dev, w, pmodel.Options{LP: &lpCfg, MaxRounds: opt.MaxRounds, Checkpoint: true, EPEntries: epEntries})
+	kernel := m.Kernel()
+	if epochs > 1 {
 		grid, blk := w.Geometry()
-		rt = core.New(dev, opt.LP, grid, blk)
-		// The durable state right after setup (inputs, zeroed outputs,
-		// cleared checksum store) is the restore point of last resort.
-		ck = core.CaptureCheckpoint(mem)
-		kernel, tables = w.Kernel(rt), rt.Store().TableRegions
-	} else {
-		lpCfg := opt.LP
-		m = spec.New(dev, w, pmodel.Options{LP: &lpCfg, MaxRounds: opt.MaxRounds, Checkpoint: true})
-		kernel, tables = m.Kernel(), m.MetadataRegions
+		for ep := 0; ep+1 < epochs; ep++ {
+			m.BeginEpoch(uint64(ep))
+			dev.Launch(c.Kernel, grid, blk, kernel)
+			mem.FlushAll()
+		}
+		m.BeginEpoch(uint64(epochs - 1))
+	}
+	if res.CrashedAfter, res.Injected, err = Strike(dev, rng, c.Kind, c.AfterBlocks, c.Flips, w, kernel, golden, m.MetadataRegions); err != nil {
+		return res, err
+	}
+	if a != nil {
+		if err := a.Check(); err != nil {
+			return mismatch(res, "post-crash: "+err.Error()), nil
+		}
 	}
 
-	var err error
-	if res.CrashedAfter, res.Injected, err = Strike(dev, rng, c.Kind, c.AfterBlocks, c.Flips, w, kernel, golden, tables); err != nil {
-		return typedError(res, err.Error())
-	}
-	if lp {
-		var rep core.RecoveryReport
-		rep, err = rt.RecoverHardened(kernel, w.Recompute(), core.RecoverOpts{MaxRounds: opt.MaxRounds, Checkpoint: ck})
-		res.Tier, res.Rounds, res.Cycles = rep.Tier, rep.Rounds, rep.TotalCycles()
-		if len(rep.FailedPerRound) > 0 {
-			res.FirstRoundFailed = rep.FailedPerRound[0]
-		}
+	// The durable-state contract: the damage the model predicts from the
+	// raw durable image alone must be exactly what its recovery repairs,
+	// also when recovery then gives up.
+	predicted := m.PredictDamage(image())
+	rep, err := m.Recover()
+	res.Rounds, res.FirstRoundFailed, res.Cycles = rep.Rounds, len(rep.Damaged), rep.Cycles
+	if rank := tierRank(rep.Tier); rank >= 0 {
+		// lp's escalation ladder; tierRank follows core.RecoveryTier.
+		res.Tier = core.RecoveryTier(rank)
 	} else {
-		// The durable-state contract: the damage the model predicts from
-		// the raw NVM image alone must be exactly what its recovery
-		// repairs.
-		predicted := m.PredictDamage(mem.SnapshotNVM())
-		var rep pmodel.Report
-		rep, err = m.Recover()
-		res.ModelTier, res.Cycles = rep.Tier, rep.Cycles
-		if !slices.Equal(predicted, rep.Damaged) {
-			err = fmt.Errorf("model %s predicted damage %v but recovery repaired %v", c.Model, head(predicted), head(rep.Damaged))
-		}
+		res.ModelTier = rep.Tier
 	}
-	if err != nil {
-		res.Err = err.Error()
-		if errors.Is(err, core.ErrUnrecoverable) || errors.Is(err, core.ErrStoreCorrupt) {
-			res.Outcome = TypedError
-		} else {
-			res.Outcome = Mismatch
-		}
-		return res
+	switch {
+	case !slices.Equal(predicted, rep.Damaged):
+		return mismatch(res, fmt.Sprintf("model %s predicted damage %v but recovery repaired %v", spec.Name, head(predicted), head(rep.Damaged))), nil
+	case core.IsTypedRecoveryError(err):
+		return typedError(res, err.Error()), nil
+	case err != nil:
+		return mismatch(res, err.Error()), nil
 	}
 
 	if f, ok := w.(kernels.Finalizer); ok {
@@ -508,16 +527,16 @@ func RunCase(opt Options, c Case, golden *Golden) (res Result) {
 	mem.FlushAll()
 	for i, r := range w.Outputs() {
 		if !bytes.Equal(mem.PeekNVM(r.Base, r.Size), golden.outputs[i]) {
-			res.Outcome = Mismatch
-			res.Err = fmt.Sprintf("durable image of %s diverges from fault-free golden", r.Name)
-			if !lp {
-				res.Err += " under model " + c.Model
-			}
-			return res
+			return mismatch(res, fmt.Sprintf("durable image of %s diverges from fault-free golden under model %s", r.Name, spec.Name)), nil
+		}
+	}
+	if a != nil {
+		if err := a.Check(); err != nil {
+			return mismatch(res, "post-recovery: "+err.Error()), nil
 		}
 	}
 	res.Outcome = Recovered
-	return res
+	return res, nil
 }
 
 // lookupModel resolves a case's model name the way the CLIs do: empty
@@ -533,6 +552,13 @@ func lookupModel(name string) (pmodel.Spec, bool) {
 // typedError closes res as a TypedError outcome with the given text.
 func typedError(res Result, msg string) Result {
 	res.Outcome = TypedError
+	res.Err = msg
+	return res
+}
+
+// mismatch closes res as a Mismatch outcome with the given text.
+func mismatch(res Result, msg string) Result {
+	res.Outcome = Mismatch
 	res.Err = msg
 	return res
 }

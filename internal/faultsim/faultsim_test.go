@@ -170,8 +170,8 @@ func TestModelApplicable(t *testing.T) {
 }
 
 // TestLPModelSpellings runs the same spmv cases under every spelling of
-// the lp model pmodel.Lookup accepts: each must take the direct LP path
-// the empty name takes, with the same outcome, tier, rounds and cycles.
+// the lp model pmodel.Lookup accepts: each must bind the lp model the
+// empty name binds, with the same outcome, tier, rounds and cycles.
 func TestLPModelSpellings(t *testing.T) {
 	opt := DefaultOptions()
 	golden, err := GoldenRun(opt, "spmv")
@@ -181,7 +181,7 @@ func TestLPModelSpellings(t *testing.T) {
 	for _, kind := range []Kind{CleanCrash, DataBitFlips, StoreBitFlips} {
 		want := RunCase(opt, Case{Kernel: "spmv", Kind: kind, Seed: 7}, golden)
 		if want.Outcome != Recovered || want.Rounds == 0 {
-			t.Fatalf("%v: the lp path did not recover through core: %+v", kind, want)
+			t.Fatalf("%v: the lp model did not recover in counted rounds: %+v", kind, want)
 		}
 		for _, name := range []string{"lp", "LP", " lp "} {
 			got := RunCase(opt, Case{Kernel: "spmv", Kind: kind, Seed: 7, Model: name}, golden)

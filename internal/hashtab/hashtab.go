@@ -140,6 +140,9 @@ type Merger interface {
 	MergeInsert(t *gpusim.Thread, key uint64, sum checksum.State)
 	// LookupCount retrieves the merged checksum and contributor count.
 	LookupCount(t *gpusim.Thread, key uint64) (checksum.State, uint64)
+	// ImageLookupCount is LookupCount over a raw durable image, as
+	// ImageLookup is Lookup.
+	ImageLookupCount(img []byte, key uint64) (checksum.State, uint64)
 	// HostResetEntry durably re-initializes key's entry (recovery).
 	HostResetEntry(key uint64)
 }

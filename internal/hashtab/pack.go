@@ -82,18 +82,30 @@ func (c *cuckooStore) ImageLookup(img []byte, key uint64) (checksum.State, bool)
 // the sentinel (plain mode) or contributor count (merge mode) deciding
 // presence exactly as the device Lookup does.
 func (g *globalArray) ImageLookup(img []byte, key uint64) (checksum.State, bool) {
-	g.check(key)
-	w := g.words()
-	mod := imageWord(img, g.region, int(key)*w)
-	par := imageWord(img, g.region, int(key)*w+1)
 	if g.merge {
-		count := imageWord(img, g.region, int(key)*w+2)
-		return checksum.State{Mod: mod, Par: par}, count > 0
+		sum, count := g.ImageLookupCount(img, key)
+		return sum, count > 0
 	}
+	g.check(key)
+	mod := imageWord(img, g.region, int(key)*gaWords)
+	par := imageWord(img, g.region, int(key)*gaWords+1)
 	if mod == gaSentinel && par == gaSentinel {
 		return checksum.State{}, false
 	}
 	return checksum.State{Mod: mod, Par: par}, true
+}
+
+// ImageLookupCount implements Merger for globalArray: the merged
+// checksum and contributor count as img records them.
+func (g *globalArray) ImageLookupCount(img []byte, key uint64) (checksum.State, uint64) {
+	if !g.merge {
+		panic("hashtab: ImageLookupCount on a global array built without MergeCount")
+	}
+	g.check(key)
+	return checksum.State{
+		Mod: imageWord(img, g.region, int(key)*gaMergeWords),
+		Par: imageWord(img, g.region, int(key)*gaMergeWords+1),
+	}, imageWord(img, g.region, int(key)*gaMergeWords+2)
 }
 
 // ImageLookup implements Store for chainedStore: the chain walk over

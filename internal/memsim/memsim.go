@@ -524,14 +524,11 @@ func (m *Memory) PeekCoherentU64(addr uint64) uint64 {
 	return binary.LittleEndian.Uint64(m.nvm[addr:])
 }
 
-// NVMImage returns a copy of the full durable image — what a post-crash
-// reader would see across every allocation. Determinism tests compare
-// these images bit-for-bit across repeated runs.
-func (m *Memory) NVMImage() []byte {
-	out := make([]byte, len(m.nvm))
-	copy(out, m.nvm)
-	return out
-}
+// NVMImage returns the full durable image in place — what a post-crash
+// reader would see across every allocation. It is the live array, not a
+// copy: read it before the next durable mutation and never write to it.
+// SnapshotNVM returns a copy.
+func (m *Memory) NVMImage() []byte { return m.nvm }
 
 // PeekNVM reads the durable (persisted) value of [addr, addr+size),
 // ignoring any cached copy. This is what a post-crash reader would see.

@@ -6,7 +6,6 @@
 package persistcheck
 
 import (
-	"bytes"
 	"fmt"
 
 	"gpulp/internal/faultsim"
@@ -24,27 +23,7 @@ var diffFaults = []faultsim.Kind{
 // same scenario to identical output contents: the store is recovery
 // metadata, and metadata organization must never leak into data.
 func (c *Checker) RunDiffStores(sc KernelScenario) error {
-	var ref *runArtifacts
-	refBackend := ""
-	for _, backend := range []string{BackendQuad, BackendCuckoo, BackendChained, BackendGlobalArray} {
-		v := sc
-		v.Backend = backend
-		art, err := c.runKernel(v)
-		if err != nil {
-			return err
-		}
-		if art.typedErr {
-			return fmt.Errorf("persistcheck: %v: recovery gave up (%s) on a repairable fault", v, art.errText)
-		}
-		if ref == nil {
-			ref, refBackend = art, backend
-			continue
-		}
-		if err := diffOutputs(fmt.Sprintf("%v: %s vs %s", sc, refBackend, backend), ref, art); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.recoverAll(sc, BackendQuad, BackendCuckoo, BackendChained, BackendGlobalArray)
 }
 
 // RunDiffModels checks every registered persistency model against LP on
@@ -57,42 +36,24 @@ func (c *Checker) RunDiffModels(sc KernelScenario) error {
 	if !faultsim.ModelApplicable(BackendEP, sc.Kernel, sc.Fault) {
 		return fmt.Errorf("persistcheck: %v: fault kind not checkable under the non-LP models", sc)
 	}
-	lpv := sc
-	lpv.Backend = BackendGlobalArray
-	ref, err := c.runKernel(lpv)
-	if err != nil {
-		return err
-	}
-	if ref.typedErr {
-		return fmt.Errorf("persistcheck: %v: LP recovery gave up (%s) on a repairable fault", lpv, ref.errText)
-	}
-	for _, backend := range Backends {
-		if !isModelBackend(backend) {
-			continue
-		}
+	return c.recoverAll(sc, BackendGlobalArray, BackendEP, BackendSBRP, BackendStrict)
+}
+
+// recoverAll runs sc under each backend in turn and requires every
+// recovery to succeed: a differential injects only repairable faults, so
+// a typed give-up fails it too. The runner compares each variant's
+// recovered outputs byte for byte against the golden image, so variants
+// that all recover hold identical contents.
+func (c *Checker) recoverAll(sc KernelScenario, backends ...string) error {
+	for _, backend := range backends {
 		v := sc
 		v.Backend = backend
-		art, err := c.runKernel(v)
+		gaveUp, err := c.runKernel(v)
 		if err != nil {
 			return err
 		}
-		if err := diffOutputs(fmt.Sprintf("%v: LP vs %s", sc, backend), ref, art); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func diffOutputs(label string, a, b *runArtifacts) error {
-	if a.typedErr != b.typedErr {
-		return fmt.Errorf("persistcheck: %s: one variant recovered, the other gave up (%s%s)", label, a.errText, b.errText)
-	}
-	if len(a.outputs) != len(b.outputs) {
-		return fmt.Errorf("persistcheck: %s: output region count differs: %d vs %d", label, len(a.outputs), len(b.outputs))
-	}
-	for i := range a.outputs {
-		if !bytes.Equal(a.outputs[i], b.outputs[i]) {
-			return fmt.Errorf("persistcheck: %s: recovered contents of output region %d differ", label, i)
+		if gaveUp != "" {
+			return fmt.Errorf("persistcheck: %v: recovery gave up (%s) on a repairable fault", v, gaveUp)
 		}
 	}
 	return nil

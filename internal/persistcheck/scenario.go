@@ -7,18 +7,13 @@
 package persistcheck
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
-	"sort"
 
-	"gpulp/internal/core"
 	"gpulp/internal/faultsim"
 	"gpulp/internal/gpusim"
 	"gpulp/internal/hashtab"
 	"gpulp/internal/kernels"
 	"gpulp/internal/memsim"
-	"gpulp/internal/pmodel"
 )
 
 // Backend names a persistency design point: one of the four LP checksum
@@ -148,17 +143,6 @@ func (c *Checker) logEntriesFor(kernel string) (int, error) {
 	return max + 1, nil
 }
 
-// runArtifacts carries what a scenario run produced, for differential
-// comparison across runs.
-type runArtifacts struct {
-	// typedErr is true when recovery honestly reported unrecoverable
-	// damage (an acceptable outcome; outputs is nil then).
-	typedErr bool
-	errText  string
-	// outputs holds the final durable bytes of every output region.
-	outputs [][]byte
-}
-
 // RunKernel executes one kernel scenario and returns the first
 // persistency-contract violation (nil when the scenario passes; an
 // honestly-reported typed recovery error is a pass).
@@ -167,108 +151,44 @@ func (c *Checker) RunKernel(sc KernelScenario) error {
 	return err
 }
 
-func (c *Checker) runKernel(sc KernelScenario) (art *runArtifacts, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			art, err = nil, fmt.Errorf("persistcheck: %v: panic: %v", sc, r)
-		}
-	}()
+// runKernel runs sc through faultsim's case runner, which asserts all
+// three layers: the oracle image equality after the strike and after
+// recovery, the model's predicted damage (read from the oracle image)
+// against what its recovery repairs, and the recovered outputs against
+// the golden image. The checker adds the oracle, the leading epochs, the
+// backend's store organization and, for ep, a redo log sized by a dry
+// run. gaveUp carries the text of a typed recovery error, the honest
+// outcome for damage beyond repair; err is every other failure.
+func (c *Checker) runKernel(sc KernelScenario) (gaveUp string, err error) {
 	model := modelOf(sc.Backend)
-	if model != "lp" && !faultsim.ModelApplicable(model, sc.Kernel, sc.Fault) {
-		return nil, fmt.Errorf("persistcheck: %v: fault kind not checkable under model %s", sc, sc.Backend)
-	}
 	golden, err := c.golden(sc.Kernel)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	// The LP store organizations bind the lp model with the checker's LP
-	// design point, its store swapped, and a post-setup checkpoint; EP
-	// gets a redo log sized for the kernel.
-	var popt pmodel.Options
+	opt, epEntries := c.Opt, 0
 	switch {
 	case model == "lp":
-		kind, err := parseBackend(sc.Backend)
-		if err != nil {
-			return nil, err
+		if opt.LP.Store, err = parseBackend(sc.Backend); err != nil {
+			return "", err
 		}
-		lpCfg := c.Opt.LP
-		lpCfg.Store = kind
-		popt = pmodel.Options{LP: &lpCfg, MaxRounds: c.Opt.MaxRounds, Checkpoint: true}
 	case sc.Backend == BackendEP:
-		if popt.EPEntries, err = c.logEntriesFor(sc.Kernel); err != nil {
-			return nil, err
+		if epEntries, err = c.logEntriesFor(sc.Kernel); err != nil {
+			return "", err
 		}
 	}
-
-	rng := rand.New(rand.NewSource(int64(splitmix(sc.Seed))))
-	mem := memsim.MustNew(c.Opt.Mem)
-	o := AttachOracle(mem) // before any allocation: the shadow sees every durable byte
-	defer o.Detach()
-	dev := gpusim.MustNew(c.Opt.Dev, mem)
-	w := kernels.New(sc.Kernel, c.Opt.Scale)
-	w.Setup(dev)
-	m := pmodel.MustLookup(model).New(dev, w, popt)
-	kernel := m.Kernel()
-
-	// Fault-free leading epochs; the fault strikes the last one.
-	if sc.Epochs > 1 {
-		grid, blk := w.Geometry()
-		for ep := 0; ep+1 < sc.Epochs; ep++ {
-			m.BeginEpoch(uint64(ep))
-			dev.Launch(sc.Kernel, grid, blk, kernel)
-			mem.FlushAll()
-		}
-		m.BeginEpoch(uint64(sc.Epochs - 1))
+	cs := faultsim.Case{Kernel: sc.Kernel, Kind: sc.Fault, Seed: sc.Seed, Model: model,
+		AfterBlocks: sc.AfterBlocks, Flips: sc.Flips}
+	res, err := faultsim.RunAudited(opt, cs, golden, sc.Epochs, epEntries,
+		func(mem *memsim.Memory) faultsim.Audit { return AttachOracle(mem) })
+	switch {
+	case err != nil:
+		return "", fmt.Errorf("persistcheck: %v: %w", sc, err)
+	case res.Outcome == faultsim.TypedError:
+		return res.Err, nil
+	case res.Outcome != faultsim.Recovered:
+		return "", fmt.Errorf("persistcheck: %v: %v: %s", sc, res.Outcome, res.Err)
 	}
-	if _, _, err := faultsim.Strike(dev, rng, sc.Fault, sc.AfterBlocks, sc.Flips, w, kernel, golden, m.MetadataRegions); err != nil {
-		return nil, fmt.Errorf("persistcheck: %v: %w", sc, err)
-	}
-
-	// Assertion 1: the durable image is exactly what the event stream
-	// says it should be.
-	if err := o.Check(); err != nil {
-		return nil, fmt.Errorf("%v: post-crash: %w", sc, err)
-	}
-
-	// Assertion 2, the durable-state contract: the damage the model
-	// predicts from the oracle image alone must be exactly what its
-	// recovery reports repairing — checked before a typed recovery error
-	// is accepted. Loads during either pass never dirty the durable state
-	// under audit.
-	predicted := m.PredictDamage(o.Image())
-	rep, rerr := m.Recover()
-	if !equalIntSets(predicted, rep.Damaged) {
-		return nil, fmt.Errorf("%v: %s recovery diverges from its durable-state contract: predicted %d damaged %v, repaired %d %v",
-			sc, sc.Backend, len(predicted), head(predicted), len(rep.Damaged), head(rep.Damaged))
-	}
-	art = &runArtifacts{}
-	if rerr != nil {
-		if core.IsTypedRecoveryError(rerr) {
-			art.typedErr = true
-			art.errText = rerr.Error()
-			return art, nil
-		}
-		return nil, fmt.Errorf("%v: %s recovery failed untypedly: %w", sc, sc.Backend, rerr)
-	}
-
-	// Assertion 3: recovery restored the golden image bit for bit.
-	if f, ok := w.(kernels.Finalizer); ok {
-		name, fg, fb, k := f.FinalizeKernel()
-		dev.Launch(name, fg, fb, k)
-	}
-	mem.FlushAll()
-	for i, r := range w.Outputs() {
-		img := mem.PeekNVM(r.Base, r.Size)
-		if !bytes.Equal(img, golden.Output(i)) {
-			return nil, fmt.Errorf("%v: %s-recovered image of %s diverges from golden", sc, sc.Backend, r.Name)
-		}
-		art.outputs = append(art.outputs, img)
-	}
-	// The oracle must have followed recovery's mutations too.
-	if err := o.Check(); err != nil {
-		return nil, fmt.Errorf("%v: post-recovery: %w", sc, err)
-	}
-	return art, nil
+	return "", nil
 }
 
 func parseBackend(name string) (hashtab.Kind, error) {
@@ -278,30 +198,4 @@ func parseBackend(name string) (hashtab.Kind, error) {
 		}
 	}
 	return 0, fmt.Errorf("persistcheck: unknown backend %q", name)
-}
-
-// equalIntSets compares two int slices as sets (both are produced in
-// ascending order, but sort defensively).
-func equalIntSets(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]int(nil), a...)
-	bs := append([]int(nil), b...)
-	sort.Ints(as)
-	sort.Ints(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// head bounds a list for error messages.
-func head(xs []int) []int {
-	if len(xs) > 8 {
-		return xs[:8]
-	}
-	return xs
 }

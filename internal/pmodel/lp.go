@@ -10,10 +10,9 @@ import (
 // lpModel adapts the Lazy Persistency runtime (internal/core) to the
 // Model contract. It is a thin delegation layer: the kernel is the
 // workload's own LP-instrumented body (the Listing 2 pattern), damage
-// prediction is the checksum store's ImageLookup over the durable
-// image, and recovery is the hardened three-tier escalation — exactly
-// the machinery the harness and fault campaigns already exercise, so
-// runs through the adapter are bit-identical to direct core use.
+// prediction is core's ValidateImage over the durable image, and
+// recovery is the hardened three-tier escalation, charged once: its
+// first validation names the damage.
 type lpModel struct {
 	lp        *core.LP
 	kernel    gpusim.KernelFunc
@@ -49,42 +48,27 @@ func (m *lpModel) MetadataRegions() []memsim.Region {
 	return m.lp.Store().TableRegions()
 }
 
-// PredictDamage recomputes every region's checksums from durable data —
-// a recompute launch on the bound device, whose loads leave the durable
-// state untouched — and compares them against the checksum store as
-// serialized in img: regions whose stored entry is missing, torn, or
-// mismatched are the ones validation must fail. This is the LP
-// durable-image contract the crash-consistency oracle checks.
+// PredictDamage is core's ValidateImage: a recompute launch refolds every
+// region from durable data, and each region's stored entry is read from
+// img, so it names the blocks of every region whose entry is missing,
+// torn, short of contributors or mismatched — the blocks Recover's first
+// validation fails. It needs a hierarchy with no dirty line, as after a
+// crash, and leaves a following Recover's cost unchanged. A store that
+// cannot serve fused regions predicts nothing; Recover reports it as a
+// typed error.
 func (m *lpModel) PredictDamage(img []byte) []int {
-	perBlock, _ := m.lp.RecomputeStates(m.recompute)
-	cfg := m.lp.Config()
-	var damaged []int
-	for reg := 0; reg < m.lp.Regions(); reg++ {
-		stored, ok := m.lp.Store().ImageLookup(img, uint64(reg))
-		if !ok || !stored.Matches(perBlock[reg], cfg.Checksum) {
-			damaged = append(damaged, reg)
-		}
-	}
-	return damaged
+	failed, _ := m.lp.ValidateImage(img, m.recompute)
+	return failed
 }
 
+// Recover is core's RecoverHardened; the blocks its first round failed
+// are the damage.
 func (m *lpModel) Recover() (Report, error) {
-	// The first validation names the damage set; hardened recovery then
-	// escalates until a round validates clean (or gives up typedly).
-	failed, vres, err := m.lp.Validate(m.recompute)
-	if err != nil {
-		return Report{Tier: core.TierSelective.String(), Cycles: vres.Cycles}, err
-	}
-	rep, rerr := m.lp.RecoverHardened(m.kernel, m.recompute, core.RecoverOpts{
+	rep, err := m.lp.RecoverHardened(m.kernel, m.recompute, core.RecoverOpts{
 		MaxRounds:  m.maxRounds,
 		Checkpoint: m.ck,
 	})
-	out := Report{
-		Damaged: failed,
-		Tier:    rep.Tier.String(),
-		Cycles:  vres.Cycles + rep.TotalCycles(),
-	}
-	return out, rerr
+	return Report{Damaged: rep.FirstFailed, Rounds: rep.Rounds, Tier: rep.Tier.String(), Cycles: rep.TotalCycles()}, err
 }
 
 // RecoverShard runs core.RecoverBlocks over the shard: validate, re-execute

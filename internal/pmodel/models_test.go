@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gpulp/internal/core"
@@ -155,6 +156,113 @@ func TestLPAdapterBitIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(memA.SnapshotNVM(), memB.SnapshotNVM()) {
 		t.Fatal("adapter and direct LP runs leave different durable images")
+	}
+}
+
+// TestLPFusionContract holds lp to its durable-state contract with fused
+// regions: after a half-grid tmm crash at Fusion 2, PredictDamage and
+// Recover name the same damage, in blocks — every fusion group whole —
+// and the outputs recover to the golden bytes.
+func TestLPFusionContract(t *testing.T) {
+	golden := goldenOutputs(t, "tmm")
+	mem, dev := newSystem()
+	w := kernels.New("tmm", 1)
+	w.Setup(dev)
+	grid, blk := w.Geometry()
+	cfg := core.DefaultConfig()
+	cfg.Fusion = 2
+	m := pmodel.MustLookup("lp").New(dev, w, pmodel.Options{LP: &cfg})
+	dev.CrashAfter(grid.Size() / 2)
+	dev.Launch("tmm", grid, blk, m.Kernel())
+
+	predicted := m.PredictDamage(mem.NVMImage())
+	rep, err := m.Recover()
+	if err != nil {
+		t.Fatalf("fused recovery failed: %v", err)
+	}
+	if !equalIntSlices(predicted, rep.Damaged) {
+		t.Fatalf("Fusion 2: PredictDamage names %d units, recovery repaired %d blocks", len(predicted), len(rep.Damaged))
+	}
+	if len(predicted) < grid.Size()/2 {
+		t.Fatalf("half-grid crash of %d blocks predicted %d damaged blocks, want at least %d", grid.Size(), len(predicted), grid.Size()/2)
+	}
+	for i := 0; i < len(predicted); i += 2 {
+		if blk := predicted[i]; blk%2 != 0 || i+1 == len(predicted) || predicted[i+1] != blk+1 {
+			t.Fatalf("damage %v… does not list whole fusion groups at %d", predicted[:i+2], i)
+		}
+	}
+	mem.FlushAll()
+	for i, r := range w.Outputs() {
+		if !bytes.Equal(mem.PeekNVM(r.Base, r.Size), golden[i]) {
+			t.Fatalf("fused recovery of %s diverges from golden", r.Name)
+		}
+	}
+}
+
+// TestLPPredictionLeavesRecoveryCost: lp's PredictDamage launches a
+// recompute that loads the outputs into the cache, but a following
+// Recover must report exactly what it reports without the prediction,
+// and charge exactly what core's RecoverHardened charges on an identical
+// crashed system — one validation per round, on the cache the crash
+// left.
+func TestLPPredictionLeavesRecoveryCost(t *testing.T) {
+	for _, name := range []string{"spmv", "tmm"} {
+		t.Run(name, func(t *testing.T) {
+			// crashed binds kernel name's instrumented run on a fresh
+			// system and crashes it halfway through the grid.
+			crashed := func(bind func(dev *gpusim.Device, w kernels.Workload) gpusim.KernelFunc) *memsim.Memory {
+				mem, dev := newSystem()
+				w := kernels.New(name, 1)
+				w.Setup(dev)
+				grid, blk := w.Geometry()
+				kernel := bind(dev, w)
+				dev.CrashAfter(grid.Size() / 2)
+				dev.Launch(name, grid, blk, kernel)
+				return mem
+			}
+			viaModel := func(predict bool) pmodel.Report {
+				var m pmodel.Model
+				mem := crashed(func(dev *gpusim.Device, w kernels.Workload) gpusim.KernelFunc {
+					m = pmodel.MustLookup("lp").New(dev, w, pmodel.Options{Checkpoint: true})
+					return m.Kernel()
+				})
+				if predict {
+					m.PredictDamage(mem.NVMImage())
+				}
+				rep, err := m.Recover()
+				if err != nil {
+					t.Fatalf("lp recovery failed: %v", err)
+				}
+				return rep
+			}
+			summary := func(r pmodel.Report) string {
+				return fmt.Sprintf("%d cycles, %d rounds, %s tier, %d damaged blocks", r.Cycles, r.Rounds, r.Tier, len(r.Damaged))
+			}
+			predicted, plain := viaModel(true), viaModel(false)
+			if !reflect.DeepEqual(predicted, plain) {
+				t.Fatalf("a preceding PredictDamage changed recovery: %s with it, %s without", summary(predicted), summary(plain))
+			}
+
+			var lp *core.LP
+			var ck *core.Checkpoint
+			var kernel gpusim.KernelFunc
+			var recompute core.RecomputeFunc
+			crashed(func(dev *gpusim.Device, w kernels.Workload) gpusim.KernelFunc {
+				grid, blk := w.Geometry()
+				lp = core.New(dev, core.DefaultConfig(), grid, blk)
+				ck = core.CaptureCheckpoint(dev.Mem())
+				kernel, recompute = w.Kernel(lp), w.Recompute()
+				return kernel
+			})
+			direct, err := lp.RecoverHardened(kernel, recompute, core.RecoverOpts{Checkpoint: ck})
+			if err != nil {
+				t.Fatalf("direct recovery failed: %v", err)
+			}
+			if predicted.Cycles != direct.TotalCycles() || predicted.Rounds != direct.Rounds ||
+				predicted.Tier != direct.Tier.String() || !equalIntSlices(predicted.Damaged, direct.FirstFailed) {
+				t.Fatalf("lp model recovery: %s; direct RecoverHardened: %v", summary(predicted), direct)
+			}
+		})
 	}
 }
 

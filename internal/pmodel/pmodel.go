@@ -9,13 +9,15 @@
 //     barriers, block-boundary commits) wrapped around it;
 //   - a durable-state contract: PredictDamage inspects a raw durable
 //     image (memsim.NVMImage or the crash-consistency oracle's shadow)
-//     and names the damage recovery must find. The flag models read it
-//     from their durable flags alone; lp refolds its checksums with a
-//     recompute launch on the bound device, whose loads leave the
-//     durable state untouched. The persistcheck oracle holds each model
-//     to exactly this prediction;
+//     and names the thread blocks recovery must find damaged. The flag
+//     models read them from their durable flags alone; lp refolds its
+//     checksums with a recompute launch on the bound device, whose loads
+//     leave the durable state untouched and whose cache lines it drops,
+//     so a following Recover costs the same. faultsim's case runner,
+//     under every campaign and persistcheck kernel scenario, holds each
+//     model to exactly this prediction;
 //   - recovery: Recover repairs the durable state after a crash and
-//     reports what it repaired, in the same units PredictDamage speaks;
+//     reports what it repaired, in the same blocks PredictDamage names;
 //     RecoverShard repairs one shard of the grid after a cluster
 //     failover imported a lost device's durable bytes, and ShardIntact
 //     judges from a replica's raw image whether a shard is durably
@@ -60,14 +62,17 @@ type Workload interface {
 
 // Report is the uniform recovery summary every model returns.
 type Report struct {
-	// Damaged lists the damage units recovery repaired — the model's
-	// own granularity (LP: checksum regions, which equal thread blocks
-	// at the default fusion; EP/SBRP/strict: thread blocks). A model's
-	// PredictDamage must name exactly this set from the durable image
-	// alone; the persistcheck oracle enforces the equality.
+	// Damaged lists, in ascending order, the thread blocks recovery found
+	// damaged: lp's are the member blocks of every checksum region its
+	// first validation failed, the flag models' the unflagged blocks. A
+	// model's PredictDamage must name exactly this set from the durable
+	// image alone; faultsim's case runner enforces the equality.
 	Damaged []int `json:"damaged,omitempty"`
 	// Replayed counts redo-log records applied (EP only).
 	Replayed int `json:"replayed,omitempty"`
+	// Rounds counts lp's validations (core.RecoveryReport.Rounds); the
+	// flag models have no rounds.
+	Rounds int `json:"rounds,omitempty"`
 	// Tier names the mechanism recovery used: lp's escalation tier
 	// ("selective", "full-grid", "checkpoint"), "replay+reexec" for ep,
 	// and the model's own name for sbrp and strict.
@@ -95,13 +100,17 @@ type Model interface {
 	// order.
 	MetadataRegions() []memsim.Region
 	// PredictDamage reads a raw durable image and returns, in ascending
-	// order, the damage units the model's own recovery must repair —
-	// the durable-state contract. It never writes durable state; lp's
-	// prediction runs its recompute kernel on the bound device.
+	// order, the thread blocks the model's own recovery must repair —
+	// the durable-state contract. It never writes durable state. lp's
+	// prediction runs its recompute kernel on the bound device, so it
+	// needs a hierarchy with no dirty line, as after a crash; it drops
+	// the lines that kernel loaded, leaving a following Recover's cost
+	// unchanged.
 	PredictDamage(img []byte) []int
-	// Recover repairs durable state after a crash. On success the
-	// workload's outputs (after any finalizer and a flush) must equal a
-	// fault-free run's; unrecoverable damage surfaces as a typed error
+	// Recover repairs durable state after a crash and reports the damage
+	// it found, in PredictDamage's blocks. On success the workload's
+	// outputs (after any finalizer and a flush) must equal a fault-free
+	// run's; unrecoverable damage surfaces as a typed error
 	// (core.IsTypedRecoveryError).
 	Recover() (Report, error)
 	// BeginEpoch starts epoch n, once every earlier epoch's data is

@@ -80,8 +80,8 @@ func (c ClusterConfig) Validate() error {
 	if c.FailAtLaunch < 0 {
 		return fail("FailAtLaunch must be non-negative")
 	}
-	if c.FailAfterBlocks < 0 {
-		return fail("FailAfterBlocks must be non-negative")
+	if err := c.checkCrashPoint("FailAfterBlocks", c.FailAfterBlocks); err != nil {
+		return err
 	}
 	if c.FailAtLaunch > 0 {
 		if bareModel(c.Model) {

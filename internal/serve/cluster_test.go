@@ -189,6 +189,8 @@ func TestClusterValidation(t *testing.T) {
 		{"zero devices", func(c *ClusterConfig) { c.Devices = 0 }},
 		{"crash-at-launch knob", func(c *ClusterConfig) { c.CrashAtLaunch = 1 }},
 		{"negative fail launch", func(c *ClusterConfig) { c.FailAtLaunch = -1 }},
+		{"negative fail point", func(c *ClusterConfig) { c.FailAtLaunch = 1; c.FailAfterBlocks = -1 }},
+		{"fail point past the grid", func(c *ClusterConfig) { c.FailAtLaunch = 1; c.FailAfterBlocks = 1000 }},
 		{"bare model failure", func(c *ClusterConfig) { c.FailAtLaunch = 1; c.Model = "none" }},
 		{"fail device range", func(c *ClusterConfig) { c.FailAtLaunch = 1; c.FailDevice = 5 }},
 		{"no retry budget", func(c *ClusterConfig) { c.FailAtLaunch = 1; c.MaxRetries = 0 }},

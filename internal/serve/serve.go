@@ -294,5 +294,14 @@ func (c Config) Validate() error {
 	if c.CrashAtLaunch > 0 && bareModel(c.Model) {
 		return fail("CrashAtLaunch requires a persistency model, got %q", c.Model)
 	}
+	return c.checkCrashPoint("CrashAfterBlocks", c.CrashAfterBlocks)
+}
+
+// checkCrashPoint rejects a crash point, in thread blocks, that is
+// negative or lies past a full batch's grid, where it could never fire.
+func (c Config) checkCrashPoint(name string, blocks int) error {
+	if grid := c.MaxBatch / BlockThreads; blocks < 0 || blocks > grid {
+		return fmt.Errorf("%w: %s %d out of range [0, %d]: a batch launches at most %d blocks", ErrConfig, name, blocks, grid, grid)
+	}
 	return nil
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"gpulp/internal/pmodel"
@@ -211,5 +213,28 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("DefaultConfig does not validate: %v", err)
+	}
+}
+
+// TestRunCrashPointOutsideGrid: a crash point past a full batch's grid
+// could never fire, and a negative one used to run as 1; both are config
+// errors that name the point and the grid, never a crash-free run.
+func TestRunCrashPointOutsideGrid(t *testing.T) {
+	for _, after := range []int{1000, 3, -1} {
+		cfg := DefaultConfig()
+		cfg.CrashAtLaunch = 3
+		cfg.CrashAfterBlocks = after
+		_, err := Run(cfg)
+		want := fmt.Sprintf("CrashAfterBlocks %d out of range [0, 2]", after)
+		if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), want) {
+			t.Errorf("CrashAfterBlocks %d: error %v, want ErrConfig naming %q", after, err, want)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.CrashAtLaunch = 3
+	cfg.CrashAfterBlocks = 2
+	r, err := Run(cfg)
+	if err != nil || r.Report.Recoveries != 1 {
+		t.Fatalf("crash after the grid's last block: %v, want one recovery (%v)", err, r)
 	}
 }
