@@ -51,8 +51,6 @@ type (
 	Block = gpusim.Block
 	// Thread is the per-thread view within a block phase.
 	Thread = gpusim.Thread
-	// Warp exposes warp-level (shuffle) operations.
-	Warp = gpusim.Warp
 	// Dim3 is a CUDA-style extent/index.
 	Dim3 = gpusim.Dim3
 	// KernelFunc is a kernel body, invoked once per thread block.

@@ -139,11 +139,13 @@ func (r *Region) reduceAndThen(then func(t *gpusim.Thread, total checksum.State)
 	return r.reduceShuffle(then)
 }
 
-// reduceShuffle is the cost model of Listings 3–4 (see gpusim.Warp for
-// the faithful lane-level mechanics): every thread participates in
-// log2(warpSize) shuffle-down steps per checksum vector; lane 0 of each
-// warp stages its partial in shared memory; after a barrier, warp 0
-// reduces the staged partials; thread 0 then runs the continuation.
+// reduceShuffle is the one model of the warp shuffle reduction of
+// Listings 3–4, charged as cost, not run lane by lane: every thread
+// participates in log2(warpSize) shuffle-down steps per checksum vector;
+// lane 0 of each warp stages its partial in shared memory; after a
+// barrier, warp 0 reduces the staged partials; thread 0 then runs the
+// continuation. The total itself is the host fold of the per-thread
+// accumulators (blockTotal), which a shuffle tree computes exactly.
 func (r *Region) reduceShuffle(then func(t *gpusim.Thread, total checksum.State)) checksum.State {
 	b := r.b
 	ws := b.Device().Config().WarpSize

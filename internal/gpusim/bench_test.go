@@ -59,21 +59,6 @@ func BenchmarkForAll(b *testing.B) {
 	}
 }
 
-// BenchmarkWarpReduce measures the warp shuffle reduction primitive.
-func BenchmarkWarpReduce(b *testing.B) {
-	d := testDevice()
-	vals := make([]uint64, 32)
-	for i := range vals {
-		vals[i] = uint64(i) * 977
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Launch("reduce", D1(1), D1(32), func(blk *Block) {
-			blk.WarpPhase(func(w *Warp) { w.ReduceAdd(vals) })
-		})
-	}
-}
-
 // BenchmarkAtomicContention measures the two-pass schedule under a
 // same-sector atomic storm.
 func BenchmarkAtomicContention(b *testing.B) {

@@ -3,9 +3,8 @@ package gpusim
 import "fmt"
 
 // Block is the per-thread-block execution context handed to a KernelFunc.
-// Code between barriers is expressed as phases: ForAll (per-thread bodies)
-// and WarpPhase (per-warp bodies with vector register access). Each phase
-// ends with an implicit __syncthreads.
+// Code between barriers is expressed as ForAll phases (per-thread
+// bodies), each ending with an implicit __syncthreads.
 type Block struct {
 	dev *Device
 	// Idx is the block index within the grid; LinearIdx its linearization.
@@ -193,31 +192,6 @@ func (b *Block) ForAll(fn func(t *Thread)) {
 
 	b.totAtomicStall += aStall
 	b.endPhase(warpInstrs, l2, nvm, aStall)
-}
-
-// WarpPhase executes fn once per warp, giving vector access to lanes
-// (used for shuffle reductions). The phase is charged like ForAll, with
-// each warp's instruction count taken as issued.
-func (b *Block) WarpPhase(fn func(w *Warp)) {
-	ws := b.dev.cfg.WarpSize
-	nt := b.BlockDim.Size()
-	nw := b.NumWarps()
-	var warpInstrs, l2, nvm, stall int64
-
-	for wid := 0; wid < nw; wid++ {
-		lanes := ws
-		if rem := nt - wid*ws; rem < lanes {
-			lanes = rem
-		}
-		w := Warp{b: b, ID: wid, Lanes: lanes}
-		fn(&w)
-		warpInstrs += w.instrs
-		l2 += w.l2Bytes
-		nvm += w.nvmBytes
-		stall += w.stall
-	}
-	b.totAtomicStall += stall
-	b.endPhase(warpInstrs, l2, nvm, stall)
 }
 
 // endPhase charges one phase with the roofline model: the phase costs

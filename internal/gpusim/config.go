@@ -4,9 +4,9 @@
 //
 // Functional model. A kernel is a Go function invoked once per thread
 // block. Inside the kernel, code between barriers is expressed as phases:
-// Block.ForAll runs a body for every thread of the block (SIMT threads),
-// and Block.WarpPhase runs a body once per warp with vector (per-lane)
-// register access, which is how warp shuffle reductions are written.
+// Block.ForAll runs a body for every thread of the block (SIMT threads).
+// There is no lane-level warp mode: a warp shuffle reduction is charged
+// by its caller as per-thread instructions (core's reduceShuffle).
 // Global memory is a memsim.Memory (an NVM-backed write-back hierarchy),
 // so stores persist only via natural eviction — the property Lazy
 // Persistency depends on. Shared memory is per-block scratch that never

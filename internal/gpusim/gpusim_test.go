@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"testing"
-	"testing/quick"
 
 	"gpulp/internal/memsim"
 )
@@ -163,73 +162,6 @@ func TestSharedResizePanics(t *testing.T) {
 	d.Launch("bad", D1(1), D1(32), func(b *Block) {
 		b.SharedF32("x", 4)
 		b.SharedF32("x", 8)
-	})
-}
-
-func TestWarpShuffleDown(t *testing.T) {
-	d := testDevice()
-	d.Launch("shfl", D1(1), D1(32), func(b *Block) {
-		b.WarpPhase(func(w *Warp) {
-			v := make([]uint64, w.Lanes)
-			for i := range v {
-				v[i] = uint64(i)
-			}
-			got := w.ShuffleDownU64(v, 16)
-			for i := 0; i < 16; i++ {
-				if got[i] != uint64(i+16) {
-					t.Errorf("lane %d got %d, want %d", i, got[i], i+16)
-				}
-			}
-			// Out-of-range lanes keep their own value.
-			for i := 16; i < 32; i++ {
-				if got[i] != uint64(i) {
-					t.Errorf("lane %d got %d, want own value %d", i, got[i], i)
-				}
-			}
-		})
-	})
-}
-
-func TestWarpReduce(t *testing.T) {
-	d := testDevice()
-	d.Launch("reduce", D1(1), D1(64), func(b *Block) {
-		b.WarpPhase(func(w *Warp) {
-			v := make([]uint64, w.Lanes)
-			var wantSum, wantXor uint64
-			for i := range v {
-				v[i] = uint64(i*7 + w.ID)
-				wantSum += v[i]
-				wantXor ^= v[i]
-			}
-			if got := w.ReduceAdd(v); got != wantSum {
-				t.Errorf("warp %d ReduceAdd = %d, want %d", w.ID, got, wantSum)
-			}
-			if got := w.ReduceXor(v); got != wantXor {
-				t.Errorf("warp %d ReduceXor = %d, want %d", w.ID, got, wantXor)
-			}
-		})
-	})
-}
-
-func TestWarpReducePartialWarp(t *testing.T) {
-	d := testDevice()
-	d.Launch("partial", D1(1), D1(40), func(b *Block) { // 1 full + 1 partial warp
-		warps := 0
-		b.WarpPhase(func(w *Warp) {
-			warps++
-			v := make([]uint64, w.Lanes)
-			var want uint64
-			for i := range v {
-				v[i] = uint64(i + 1)
-				want += v[i]
-			}
-			if got := w.ReduceAdd(v); got != want {
-				t.Errorf("warp %d (lanes=%d) ReduceAdd = %d, want %d", w.ID, w.Lanes, got, want)
-			}
-		})
-		if warps != 2 {
-			t.Errorf("saw %d warps, want 2", warps)
-		}
 	})
 }
 
@@ -566,31 +498,6 @@ func TestResultString(t *testing.T) {
 	res := d.Launch("k", D1(1), D1(32), func(b *Block) { b.ForAll(func(th *Thread) { th.Op(1) }) })
 	if res.String() == "" {
 		t.Error("empty String()")
-	}
-}
-
-// TestPropertyWarpReduceMatchesScalar checks ReduceAdd/ReduceXor against a
-// scalar fold for arbitrary lane values.
-func TestPropertyWarpReduceMatchesScalar(t *testing.T) {
-	d := testDevice()
-	f := func(vals [32]uint64) bool {
-		var wantSum, wantXor uint64
-		for _, v := range vals {
-			wantSum += v
-			wantXor ^= v
-		}
-		ok := true
-		d.Launch("prop", D1(1), D1(32), func(b *Block) {
-			b.WarpPhase(func(w *Warp) {
-				if w.ReduceAdd(vals[:]) != wantSum || w.ReduceXor(vals[:]) != wantXor {
-					ok = false
-				}
-			})
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -146,8 +146,8 @@ func TestBlockCountOrderingMatchesPaper(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(Suite(1)) != 8 {
-		t.Fatal("Suite should return the eight Table I workloads")
+	if len(Names) != 8 {
+		t.Fatal("Names should list the eight Table I workloads")
 	}
 	for _, name := range allNames {
 		w := New(name, 1)

@@ -2,6 +2,8 @@ package kernels
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"gpulp/internal/core"
 	"gpulp/internal/gpusim"
@@ -9,55 +11,87 @@ import (
 	"gpulp/internal/memsim"
 )
 
-// megakvWork wraps the MEGA-KV key-value store (§VII-4) as three
-// workloads — one per operation type, matching the paper's separate
-// search/delete/insert overhead numbers. A batch of operations is
-// processed with one thread per op; each thread block is an LP region.
+// megakvWork wraps the MEGA-KV key-value store (§VII-4) as batched
+// workloads, one thread per op and one LP region per thread block. Every
+// batch runs the same body over a four-slot op pattern: op i is
+// pattern[i%4] (see megakvPatterns).
 //
-// Checksum discipline per op type:
+// Checksum discipline per slot:
+//   - search: the value found (0 if absent) is written to a persistent
+//     results array, which is checksummed and validated like any kernel
+//     output.
 //   - insert: fold key⊕value after the insert; validation re-searches
 //     the key and folds what it finds, so a lost index update mismatches.
-//   - search: results are written to a persistent output array, which is
-//     checksummed and validated like any kernel output.
 //   - delete: fold the key after deletion; validation folds the key only
 //     if it is absent, so a lost tombstone mismatches.
 type megakvWork struct {
-	name string // "megakv-" + the batch operation (see op)
-	nOps int
+	name    string // "megakv-" + the batch (see megakvPatterns)
+	pattern [4]kvOp
+	nOps    int
 
-	dev     *gpusim.Device
 	store   *megakv.Store
 	keys    memsim.Region // uint64 per op (stored as 2 u32 words each)
 	vals    memsim.Region
-	results memsim.Region // search: uint64 value found (0 if absent)
+	results memsim.Region // search slots: uint64 value found (0 if absent)
 
 	keyList []uint64
 	valList []uint64
-	golden  []uint64 // search results / expected values
+}
+
+// kvOp is the operation of one batch slot.
+type kvOp int
+
+const (
+	searchHit   kvOp = iota // search a key the setup inserted
+	searchMiss              // search a key the setup left out
+	insertFresh             // insert a key the setup left out
+	deleteHit               // delete a key the setup inserted
+)
+
+// megakvPatterns gives each batch its four-slot op pattern: the paper's
+// separate search, insert and delete batches (a search batch misses one
+// key in four), and a realistic mix of 50% searches, 25% inserts of
+// fresh keys and 25% deletes.
+var megakvPatterns = map[string][4]kvOp{
+	"megakv-search": {searchHit, searchHit, searchHit, searchMiss},
+	"megakv-insert": {insertFresh, insertFresh, insertFresh, insertFresh},
+	"megakv-delete": {deleteHit, deleteHit, deleteHit, deleteHit},
+	"megakv-mixed":  {searchHit, searchHit, insertFresh, deleteHit},
 }
 
 const megakvBlockThreads = 128
 
 // deleteMissMarker is folded when validation finds a supposedly deleted
-// key still present.
+// key still present, or an inserted key missing.
 const deleteMissMarker = 0xBAD0BAD0
 
-func newMegaKV(name string, scale int) *megakvWork {
+func newMegaKV(name string, pattern [4]kvOp, scale int) *megakvWork {
 	// 16K records per batch, the workload size of §VII-4.
-	return &megakvWork{name: name, nOps: 16384 * scale}
+	return &megakvWork{name: name, pattern: pattern, nOps: 16384 * scale}
 }
 
 func (w *megakvWork) Name() string { return w.name }
 
-// op is the batch operation: "search", "insert", "delete" or "mixed".
-func (w *megakvWork) op() string { return w.name[len("megakv-"):] }
+// slot returns the operation of op i.
+func (w *megakvWork) slot(i int) kvOp { return w.pattern[i%4] }
+
+// has reports whether some slot of the batch runs one of ops.
+func (w *megakvWork) has(ops ...kvOp) bool {
+	for _, op := range w.pattern {
+		if slices.Contains(ops, op) {
+			return true
+		}
+	}
+	return false
+}
 
 func (w *megakvWork) Info() Info {
+	batch := strings.TrimPrefix(w.name, "megakv-")
 	return Info{
-		Description: fmt.Sprintf("MEGA-KV in-memory key-value store, batched %s", w.op()),
+		Description: "MEGA-KV in-memory key-value store, batched " + batch,
 		Suite:       "[12]",
 		Bottleneck:  "unknown",
-		Input:       fmt.Sprintf("%s %d records", w.op(), w.nOps),
+		Input:       fmt.Sprintf("%s %d records", batch, w.nOps),
 	}
 }
 
@@ -65,8 +99,10 @@ func (w *megakvWork) Geometry() (gpusim.Dim3, gpusim.Dim3) {
 	return gpusim.D1(w.nOps / megakvBlockThreads), gpusim.D1(megakvBlockThreads)
 }
 
+// Setup draws distinct keys and their values, and pre-populates the
+// index with the keys that search-hit and delete slots target; insert
+// slots bring fresh keys.
 func (w *megakvWork) Setup(dev *gpusim.Device) {
-	w.dev = dev
 	w.store = megakv.NewStore(dev, w.nOps)
 	w.keys = dev.Alloc("megakv.keys", w.nOps*8)
 	w.vals = dev.Alloc("megakv.vals", w.nOps*8)
@@ -89,237 +125,97 @@ func (w *megakvWork) Setup(dev *gpusim.Device) {
 	w.vals.HostWriteU64s(w.valList)
 	w.results.HostZero()
 
-	switch w.op() {
-	case "insert":
-		// Store starts empty; golden is the inserted values.
-		w.golden = w.valList
-	case "search":
-		// Pre-populate three quarters of the keys; the rest miss.
-		w.golden = make([]uint64, w.nOps)
-		for i, k := range w.keyList {
-			if i%4 != 3 {
-				w.store.HostInsert(k, w.valList[i])
-				w.golden[i] = w.valList[i]
-			}
-		}
-	case "delete":
-		for i, k := range w.keyList {
+	for i, k := range w.keyList {
+		if op := w.slot(i); op == searchHit || op == deleteHit {
 			w.store.HostInsert(k, w.valList[i])
 		}
-	case "mixed":
-		// A realistic batch mix: 50% searches, 25% inserts of fresh
-		// keys, 25% deletes. Search and delete targets are
-		// pre-populated; inserts bring new keys.
-		w.golden = make([]uint64, w.nOps)
-		for i, k := range w.keyList {
-			switch i % 4 {
-			case 0, 1: // search target
-				w.store.HostInsert(k, w.valList[i])
-				w.golden[i] = w.valList[i]
-			case 3: // delete target
-				w.store.HostInsert(k, w.valList[i])
-			}
-		}
-	default:
-		panic(fmt.Sprintf("kernels: unknown megakv op %q", w.op()))
 	}
 }
-
-// mixedOpKind returns the operation of batch slot i in the mixed batch.
-func mixedOpKind(i int) string {
-	switch i % 4 {
-	case 0, 1:
-		return "search"
-	case 2:
-		return "insert"
-	default:
-		return "delete"
-	}
-}
-
-// loadKey reads op i's key as a device access (two 32-bit halves, charged
-// as one 64-bit load).
-func (w *megakvWork) loadKey(t *gpusim.Thread, i int) uint64 { return t.LoadU64(w.keys, i) }
 
 func (w *megakvWork) Kernel(lp *core.LP) gpusim.KernelFunc {
-	switch w.op() {
-	case "insert":
-		return func(b *gpusim.Block) {
-			r := lp.Begin(b)
-			b.ForAll(func(t *gpusim.Thread) {
-				i := t.GlobalLinear()
-				key := w.loadKey(t, i)
-				val := t.LoadU64(w.vals, i)
-				if !w.store.Insert(t, key, val) {
-					panic("megakv: bucket overflow during insert batch")
-				}
-				r.Update(t, uint32(key)^uint32(val))
-			})
-			r.Commit()
-		}
-	case "search":
-		return func(b *gpusim.Block) {
-			r := lp.Begin(b)
-			b.ForAll(func(t *gpusim.Thread) {
-				i := t.GlobalLinear()
-				key := w.loadKey(t, i)
+	return func(b *gpusim.Block) {
+		r := lp.Begin(b)
+		b.ForAll(func(t *gpusim.Thread) {
+			i := t.GlobalLinear()
+			key := t.LoadU64(w.keys, i)
+			switch w.slot(i) {
+			case searchHit, searchMiss:
 				val, _ := w.store.Search(t, key)
 				t.StoreU64(w.results, i, val)
 				r.Update(t, uint32(val)^uint32(val>>32))
-			})
-			r.Commit()
-		}
-	case "delete":
-		return func(b *gpusim.Block) {
-			r := lp.Begin(b)
-			b.ForAll(func(t *gpusim.Thread) {
-				i := t.GlobalLinear()
-				key := w.loadKey(t, i)
+			case insertFresh:
+				val := t.LoadU64(w.vals, i)
+				if !w.store.Insert(t, key, val) {
+					panic("megakv: bucket overflow during " + w.name)
+				}
+				r.Update(t, uint32(key)^uint32(val))
+			case deleteHit:
 				w.store.Delete(t, key)
 				r.Update(t, uint32(key))
-			})
-			r.Commit()
-		}
-	default: // mixed
-		return func(b *gpusim.Block) {
-			r := lp.Begin(b)
-			b.ForAll(func(t *gpusim.Thread) {
-				i := t.GlobalLinear()
-				key := w.loadKey(t, i)
-				switch mixedOpKind(i) {
-				case "search":
-					val, _ := w.store.Search(t, key)
-					t.StoreU64(w.results, i, val)
-					r.Update(t, uint32(val)^uint32(val>>32))
-				case "insert":
-					val := t.LoadU64(w.vals, i)
-					if !w.store.Insert(t, key, val) {
-						panic("megakv: bucket overflow during mixed batch")
-					}
-					r.Update(t, uint32(key)^uint32(val))
-				default: // delete
-					w.store.Delete(t, key)
-					r.Update(t, uint32(key))
-				}
-			})
-			r.Commit()
-		}
+			}
+		})
+		r.Commit()
 	}
 }
 
 func (w *megakvWork) Recompute() core.RecomputeFunc {
-	switch w.op() {
-	case "insert":
-		return func(b *gpusim.Block, r *core.Region) {
-			b.ForAll(func(t *gpusim.Thread) {
-				i := t.GlobalLinear()
-				key := w.loadKey(t, i)
-				val, ok := w.store.Search(t, key)
-				if !ok {
-					r.Update(t, deleteMissMarker) // lost insert: poison the checksum
-					return
-				}
-				r.Update(t, uint32(key)^uint32(val))
-			})
-		}
-	case "search":
-		return func(b *gpusim.Block, r *core.Region) {
-			b.ForAll(func(t *gpusim.Thread) {
-				val := t.LoadU64(w.results, t.GlobalLinear())
+	return func(b *gpusim.Block, r *core.Region) {
+		b.ForAll(func(t *gpusim.Thread) {
+			i := t.GlobalLinear()
+			switch w.slot(i) {
+			case searchHit, searchMiss:
+				val := t.LoadU64(w.results, i)
 				r.Update(t, uint32(val)^uint32(val>>32))
-			})
-		}
-	case "delete":
-		return func(b *gpusim.Block, r *core.Region) {
-			b.ForAll(func(t *gpusim.Thread) {
-				i := t.GlobalLinear()
-				key := w.loadKey(t, i)
+			case insertFresh:
+				key := t.LoadU64(w.keys, i)
+				if val, ok := w.store.Search(t, key); ok {
+					r.Update(t, uint32(key)^uint32(val))
+				} else {
+					r.Update(t, deleteMissMarker) // lost insert: poison the checksum
+				}
+			case deleteHit:
+				key := t.LoadU64(w.keys, i)
 				if _, ok := w.store.Search(t, key); ok {
 					r.Update(t, deleteMissMarker) // tombstone lost
-					return
-				}
-				r.Update(t, uint32(key))
-			})
-		}
-	default: // mixed
-		return func(b *gpusim.Block, r *core.Region) {
-			b.ForAll(func(t *gpusim.Thread) {
-				i := t.GlobalLinear()
-				key := w.loadKey(t, i)
-				switch mixedOpKind(i) {
-				case "search":
-					val := t.LoadU64(w.results, i)
-					r.Update(t, uint32(val)^uint32(val>>32))
-				case "insert":
-					val, ok := w.store.Search(t, key)
-					if !ok {
-						r.Update(t, deleteMissMarker)
-						return
-					}
-					r.Update(t, uint32(key)^uint32(val))
-				default: // delete
-					if _, ok := w.store.Search(t, key); ok {
-						r.Update(t, deleteMissMarker)
-						return
-					}
+				} else {
 					r.Update(t, uint32(key))
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
+// Verify checks every slot against the index and the results array: a
+// searched key is undisturbed (present with its value, or absent as set
+// up) and its result is the value or 0, an inserted key maps to its
+// value, and a deleted key is gone.
 func (w *megakvWork) Verify() error {
-	switch w.op() {
-	case "insert":
-		for i, k := range w.keyList {
-			got, ok := w.store.HostGet(k)
-			if !ok || got != w.valList[i] {
-				return fmt.Errorf("megakv-insert: key %#x -> %#x (found=%v), want %#x", k, got, ok, w.valList[i])
+	for i, k := range w.keyList {
+		op := w.slot(i)
+		var want uint64
+		wantFound := op == searchHit || op == insertFresh
+		if wantFound {
+			want = w.valList[i]
+		}
+		if op == searchHit || op == searchMiss {
+			if got := w.results.PeekU64(i); got != want {
+				return fmt.Errorf("%s: result[%d] = %#x, want %#x", w.name, i, got, want)
 			}
 		}
-	case "search":
-		for i := range w.keyList {
-			if got := w.results.PeekU64(i); got != w.golden[i] {
-				return fmt.Errorf("megakv-search: result[%d] = %#x, want %#x", i, got, w.golden[i])
-			}
-		}
-	case "delete":
-		for _, k := range w.keyList {
-			if _, ok := w.store.HostGet(k); ok {
-				return fmt.Errorf("megakv-delete: key %#x still present", k)
-			}
-		}
-	default: // mixed
-		for i, k := range w.keyList {
-			switch mixedOpKind(i) {
-			case "search":
-				if got := w.results.PeekU64(i); got != w.golden[i] {
-					return fmt.Errorf("megakv-mixed: search result[%d] = %#x, want %#x", i, got, w.golden[i])
-				}
-				if got, ok := w.store.HostGet(k); !ok || got != w.valList[i] {
-					return fmt.Errorf("megakv-mixed: searched key %#x disturbed", k)
-				}
-			case "insert":
-				if got, ok := w.store.HostGet(k); !ok || got != w.valList[i] {
-					return fmt.Errorf("megakv-mixed: inserted key %#x -> %#x (found=%v), want %#x", k, got, ok, w.valList[i])
-				}
-			default: // delete
-				if _, ok := w.store.HostGet(k); ok {
-					return fmt.Errorf("megakv-mixed: deleted key %#x still present", k)
-				}
-			}
+		if got, found := w.store.HostGet(k); found != wantFound || got != want {
+			return fmt.Errorf("%s: key %#x -> %#x (found=%v), want %#x (found=%v)", w.name, k, got, found, want, wantFound)
 		}
 	}
 	return nil
 }
 
+// PersistBytes is the index for a batch that changes it (bucket count
+// is nOps rounded to a power of two, as NewStore sizes it), else the
+// results array.
 func (w *megakvWork) PersistBytes() int64 {
-	if w.op() == "search" {
+	if !w.has(insertFresh, deleteHit) {
 		return int64(w.nOps) * 8
 	}
-	// The persistent structure is the index itself (bucket count is nOps
-	// rounded to a power of two, as NewStore sizes it).
 	buckets := 1
 	for buckets < w.nOps {
 		buckets <<= 1
@@ -327,16 +223,15 @@ func (w *megakvWork) PersistBytes() int64 {
 	return int64(buckets) * megakv.SlotsPerBucket * 16
 }
 
-// Outputs implements Workload: the persistent structure is the results
-// array for searches and the index itself for mutating batches (both,
-// for the mixed batch).
+// Outputs implements Workload: the results array if the batch searches,
+// and the index if it changes it.
 func (w *megakvWork) Outputs() []memsim.Region {
-	switch w.op() {
-	case "search":
-		return []memsim.Region{w.results}
-	case "mixed":
-		return []memsim.Region{w.results, w.store.Region()}
-	default:
-		return []memsim.Region{w.store.Region()}
+	var out []memsim.Region
+	if w.has(searchHit, searchMiss) {
+		out = append(out, w.results)
 	}
+	if w.has(insertFresh, deleteHit) {
+		out = append(out, w.store.Region())
+	}
+	return out
 }

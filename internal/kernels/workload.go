@@ -99,19 +99,11 @@ func New(name string, scale int) Workload {
 		return newCUTCP(scale)
 	case "mri-q":
 		return newMRIQ(scale)
-	case "megakv-search", "megakv-insert", "megakv-delete", "megakv-mixed":
-		return newMegaKV(name, scale)
+	}
+	if pattern, ok := megakvPatterns[name]; ok {
+		return newMegaKV(name, pattern, scale)
 	}
 	panic(fmt.Sprintf("kernels: unknown workload %q", name))
-}
-
-// Suite returns the eight Table I workloads at the given scale.
-func Suite(scale int) []Workload {
-	out := make([]Workload, len(Names))
-	for i, n := range Names {
-		out[i] = New(n, scale)
-	}
-	return out
 }
 
 // prng is SplitMix64 — deterministic, seedable input generation without
