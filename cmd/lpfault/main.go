@@ -280,9 +280,9 @@ type replayed struct{ faultsim.Result }
 func (r replayed) Failed() bool { return r.Outcome.Failed() }
 
 func (r replayed) Render(w io.Writer) {
-	tier := r.Tier.String()
-	if r.ModelTier != "" {
-		tier = r.ModelTier
+	tier := r.Tier
+	if tier == "" {
+		tier = "none"
 	}
 	fmt.Fprintf(w, "%v -> %v (tier %v, %d rounds, %d cycles)\n", r.Case, r.Outcome, tier, r.Rounds, r.Cycles)
 	if r.Err != "" {

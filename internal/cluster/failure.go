@@ -62,28 +62,6 @@ func ParseFailureKind(s string) (FailureKind, error) {
 // MarshalJSON writes the readable String form.
 func (k FailureKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// UnmarshalJSON accepts either the String form or the numeric constant.
-func (k *FailureKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		kk, err := ParseFailureKind(s)
-		if err != nil {
-			return err
-		}
-		*k = kk
-		return nil
-	}
-	var i int
-	if err := json.Unmarshal(b, &i); err != nil {
-		return fmt.Errorf("cluster: failure kind must be a name or number: %s", b)
-	}
-	if i < 0 || i >= int(numFailureKinds) {
-		return fmt.Errorf("cluster: failure kind %d out of range", i)
-	}
-	*k = FailureKind(i)
-	return nil
-}
-
 // FailurePlan arms one injected device failure: whichever device the
 // router hands job Job is failed after AfterBlocks of that launch have
 // retired. Plans are keyed by job, not device, so a sweep exercises every

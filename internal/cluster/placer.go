@@ -53,28 +53,6 @@ func ParsePlacerKind(s string) (PlacerKind, error) {
 // MarshalJSON writes the readable String form.
 func (k PlacerKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// UnmarshalJSON accepts either the String form or the numeric constant.
-func (k *PlacerKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		kk, err := ParsePlacerKind(s)
-		if err != nil {
-			return err
-		}
-		*k = kk
-		return nil
-	}
-	var i int
-	if err := json.Unmarshal(b, &i); err != nil {
-		return fmt.Errorf("cluster: placer kind must be a name or number: %s", b)
-	}
-	if i < 0 || i >= int(numPlacers) {
-		return fmt.Errorf("cluster: placer kind %d out of range", i)
-	}
-	*k = PlacerKind(i)
-	return nil
-}
-
 // Placer is a pluggable replica placement policy. Replicas chooses n
 // distinct replica devices for a job whose shard owner is owner and
 // whose primary launch landed on primary, from the candidate devices

@@ -58,28 +58,6 @@ func ParseRouterKind(s string) (RouterKind, error) {
 // MarshalJSON writes the readable String form.
 func (k RouterKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// UnmarshalJSON accepts either the String form or the numeric constant.
-func (k *RouterKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		kk, err := ParseRouterKind(s)
-		if err != nil {
-			return err
-		}
-		*k = kk
-		return nil
-	}
-	var i int
-	if err := json.Unmarshal(b, &i); err != nil {
-		return fmt.Errorf("cluster: router kind must be a name or number: %s", b)
-	}
-	if i < 0 || i >= int(numRouters) {
-		return fmt.Errorf("cluster: router kind %d out of range", i)
-	}
-	*k = RouterKind(i)
-	return nil
-}
-
 // DeviceView is the router- and placer-visible state of one routable
 // device.
 type DeviceView struct {

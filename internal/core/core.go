@@ -196,9 +196,6 @@ func (lp *LP) Fusion() int { return lp.fusion }
 // overhead numerator).
 func (lp *LP) TableBytes() int64 { return lp.st.TableBytes() }
 
-// Reset durably clears the checksum store for a fresh run.
-func (lp *LP) Reset() { lp.st.Clear() }
-
 // SetEpoch tags subsequent commits and validations with an epoch (e.g.
 // the iteration number of a long-running application that relaunches the
 // same kernel). The epoch is folded into every region checksum as a

@@ -151,7 +151,7 @@ func TestValidationDetectsLostChecksumStore(t *testing.T) {
 	dev.Launch("fill", grid, blk, fillKernel(out, lp))
 	// Persist everything, then clobber the checksum table durably.
 	dev.Mem().FlushAll()
-	lp.Reset()
+	lp.Store().Clear()
 	dev.Mem().Crash()
 	failed, _, _ := lp.Validate(fillRecompute(out))
 	if len(failed) != grid.Size() {

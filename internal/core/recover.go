@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"gpulp/internal/checksum"
@@ -128,10 +127,11 @@ func (lp *LP) Validate(recompute RecomputeFunc) ([]int, gpusim.LaunchResult, err
 	return lp.validate(recompute, nil)
 }
 
-// validate is the one validation body behind Validate and ValidateBlocks.
-// blocks nil validates the whole grid. Otherwise only the listed blocks
-// recompute and only their regions are looked up and compared; the subset
-// is sorted and deduped, and must cover whole fusion groups.
+// validate is the one validation body behind Validate and every
+// recovery round. blocks nil validates the whole grid. Otherwise (the
+// shard rounds of RecoverBlocks) only the listed blocks recompute and
+// only their regions are looked up and compared; the subset is sorted
+// and deduped, and must cover whole fusion groups.
 func (lp *LP) validate(recompute RecomputeFunc, blocks []int) ([]int, gpusim.LaunchResult, error) {
 	if recompute == nil {
 		return nil, gpusim.LaunchResult{}, fmt.Errorf("core: nil recompute function: %w", ErrStoreCorrupt)
@@ -242,37 +242,22 @@ func (lp *LP) repair(name string, kernel gpusim.KernelFunc, blocks []int) (gpusi
 	return res, nil
 }
 
-// RecoveryTier identifies the escalation level hardened recovery needed
-// to reach a clean validation.
-type RecoveryTier int
+// RecoveryTier names the escalation level hardened recovery needed to
+// reach a clean validation. Every recovery entry point starts its report
+// at TierSelective.
+type RecoveryTier string
 
 const (
 	// TierSelective re-executed only the failed LP regions (the paper's
 	// recovery flow, §II-A).
-	TierSelective RecoveryTier = iota
+	TierSelective RecoveryTier = "selective"
 	// TierFullGrid cleared the checksum store and re-executed the whole
 	// grid over the current durable data.
-	TierFullGrid
+	TierFullGrid RecoveryTier = "full-grid"
 	// TierCheckpoint restored a durable checkpoint image and re-executed
 	// the whole grid from it.
-	TierCheckpoint
+	TierCheckpoint RecoveryTier = "checkpoint"
 )
-
-// MarshalJSON writes the readable String form.
-func (t RecoveryTier) MarshalJSON() ([]byte, error) { return json.Marshal(t.String()) }
-
-// String implements fmt.Stringer.
-func (t RecoveryTier) String() string {
-	switch t {
-	case TierSelective:
-		return "selective"
-	case TierFullGrid:
-		return "full-grid"
-	case TierCheckpoint:
-		return "checkpoint"
-	}
-	return fmt.Sprintf("RecoveryTier(%d)", int(t))
-}
 
 // RecoveryReport summarizes a recovery run.
 type RecoveryReport struct {
@@ -366,7 +351,7 @@ func (lp *LP) ValidateAndRecover(kernel gpusim.KernelFunc, recompute RecomputeFu
 	if maxRounds <= 0 {
 		maxRounds = 3
 	}
-	var rep RecoveryReport
+	rep := RecoveryReport{Tier: TierSelective}
 	clean, err := lp.rounds(kernel, recompute, nil, maxRounds, 0, &rep)
 	if err == nil && !clean {
 		err = fmt.Errorf("core: %d blocks still invalid after %d recovery rounds: %w",
@@ -400,7 +385,7 @@ func (lp *LP) RecoverHardened(kernel gpusim.KernelFunc, recompute RecomputeFunc,
 		maxRounds = 3
 	}
 	var (
-		rep   RecoveryReport
+		rep   = RecoveryReport{Tier: TierSelective}
 		clean bool
 		err   error
 	)

@@ -303,7 +303,7 @@ func (h *healState) repairSelected(name string, blks []int) (bool, error) {
 // run to run.
 func (lp *LP) SelfHeal(kernel gpusim.KernelFunc, recompute RecomputeFunc, opts HealOpts) (HealReport, error) {
 	opts = opts.withDefaults()
-	rep := HealReport{Coverage: 1}
+	rep := HealReport{Tier: TierSelective, Coverage: 1}
 	h := &healState{
 		lp:          lp,
 		opts:        opts,

@@ -62,21 +62,6 @@ func (lp *LP) shardRegions(sel []int) ([]int, error) {
 	return regs, nil
 }
 
-// ValidateBlocks is Validate restricted to a subset of the grid's linear
-// block indices: only those blocks recompute their checksums, and only
-// their regions are looked up and compared. It returns the member blocks
-// of every failed region in ascending order. With region fusion, the
-// subset must cover whole fusion groups. An interrupted or
-// watchdog-aborted validation launch surfaces as a typed error wrapping
-// ErrUnrecoverable — the caller (a cluster failover path) must treat the
-// validating device as failed too.
-func (lp *LP) ValidateBlocks(recompute RecomputeFunc, blocks []int) ([]int, gpusim.LaunchResult, error) {
-	if blocks == nil {
-		blocks = []int{} // nil would mean the whole grid to validate
-	}
-	return lp.validate(recompute, blocks)
-}
-
 // ShardRecoverOpts configures RecoverBlocks.
 type ShardRecoverOpts struct {
 	// MaxRounds bounds the validate→re-execute loop (default 3).
@@ -101,7 +86,7 @@ func (lp *LP) RecoverBlocks(kernel gpusim.KernelFunc, recompute RecomputeFunc, b
 	if maxRounds <= 0 {
 		maxRounds = 3
 	}
-	var rep RecoveryReport
+	rep := RecoveryReport{Tier: TierSelective}
 	clean, err := lp.rounds(kernel, recompute, lp.normalizeBlocks(blocks), maxRounds, opts.BackoffBase, &rep)
 	if err == nil && !clean {
 		err = fmt.Errorf("core: %d shard blocks still invalid after %d recovery rounds: %w",

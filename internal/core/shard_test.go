@@ -48,14 +48,14 @@ func TestValidateBlocksSubsetSemantics(t *testing.T) {
 	dev.Mem().FlushAll()
 
 	// Clean state: any subset validates clean.
-	failed, _, err := lp.ValidateBlocks(rec, []int{4, 5, 6, 7})
+	failed, _, err := lp.validate(rec, []int{4, 5, 6, 7})
 	if err != nil || len(failed) != 0 {
 		t.Fatalf("clean subset: failed=%v err=%v", failed, err)
 	}
 
 	// Corrupt block 5's durable data: only a subset containing 5 sees it.
 	corruptWord(dev, out, 5, 32)
-	failed, _, err = lp.ValidateBlocks(rec, []int{4, 5, 6, 7})
+	failed, _, err = lp.validate(rec, []int{4, 5, 6, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +63,13 @@ func TestValidateBlocksSubsetSemantics(t *testing.T) {
 		t.Fatalf("failed = %v, want [5]", failed)
 	}
 	// Corruption outside the subset is invisible — shard isolation.
-	failed, _, err = lp.ValidateBlocks(rec, []int{0, 1, 2, 3})
+	failed, _, err = lp.validate(rec, []int{0, 1, 2, 3})
 	if err != nil || len(failed) != 0 {
 		t.Fatalf("disjoint subset saw foreign corruption: failed=%v err=%v", failed, err)
 	}
 
 	// Duplicates and unsorted input normalize.
-	failed, _, err = lp.ValidateBlocks(rec, []int{7, 5, 5, 4})
+	failed, _, err = lp.validate(rec, []int{7, 5, 5, 4})
 	if err != nil || len(failed) != 1 || failed[0] != 5 {
 		t.Fatalf("normalized subset: failed=%v err=%v", failed, err)
 	}
@@ -79,13 +79,13 @@ func TestValidateBlocksEdgeCases(t *testing.T) {
 	_, lp, _, _, rec := shardSystem(t, DefaultConfig())
 
 	// Empty subset: trivially clean.
-	failed, res, err := lp.ValidateBlocks(rec, nil)
+	failed, res, err := lp.validate(rec, []int{})
 	if err != nil || len(failed) != 0 || res.Cycles != 0 {
 		t.Fatalf("empty subset: failed=%v res=%+v err=%v", failed, res, err)
 	}
 
 	// Nil recompute is a typed store-corrupt error.
-	if _, _, err := lp.ValidateBlocks(nil, []int{0}); !errors.Is(err, ErrStoreCorrupt) {
+	if _, _, err := lp.validate(nil, []int{0}); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("nil recompute: %v, want ErrStoreCorrupt", err)
 	}
 
@@ -96,7 +96,7 @@ func TestValidateBlocksEdgeCases(t *testing.T) {
 				t.Fatal("out-of-grid block must panic")
 			}
 		}()
-		lp.ValidateBlocks(rec, []int{99})
+		lp.validate(rec, []int{99})
 	}()
 }
 
@@ -108,13 +108,13 @@ func TestValidateBlocksFusionAlignment(t *testing.T) {
 	dev.Mem().FlushAll()
 
 	// Half a fusion group is unsound and refused with a typed error.
-	if _, _, err := lp.ValidateBlocks(rec, []int{2}); !errors.Is(err, ErrStoreCorrupt) {
+	if _, _, err := lp.validate(rec, []int{2}); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("partial fusion group: %v, want ErrStoreCorrupt", err)
 	}
 
 	// Whole groups validate; a corrupted member fails its whole group.
 	corruptWord(dev, out, 3, 32)
-	failed, _, err := lp.ValidateBlocks(rec, []int{2, 3, 4, 5})
+	failed, _, err := lp.validate(rec, []int{2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}

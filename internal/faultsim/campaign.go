@@ -3,9 +3,11 @@ package faultsim
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
+	"gpulp/internal/core"
 	"gpulp/internal/parwork"
 )
 
@@ -227,12 +229,14 @@ func (c *Campaign) Run() (*Report, error) {
 			rep.Panics++
 			cell.Panics++
 		}
-		if res.ModelTier != "" {
+		switch {
+		case res.Tier == "": // the case never reached recovery
+		case tierRank(res.Tier) < 0:
 			// Non-LP models have one fixed mechanism, not an escalation
 			// ladder; the cell reports it directly.
-			cell.MaxTier = res.ModelTier
-		} else if tierRank(res.Tier.String()) > tierRank(cell.MaxTier) {
-			cell.MaxTier = res.Tier.String()
+			cell.MaxTier = string(res.Tier)
+		case tierRank(res.Tier) > tierRank(core.RecoveryTier(cell.MaxTier)):
+			cell.MaxTier = string(res.Tier)
 		}
 		if res.Outcome.Failed() {
 			rep.Failures = append(rep.Failures, res)
@@ -257,17 +261,10 @@ func (c *Campaign) Run() (*Report, error) {
 	return rep, nil
 }
 
-// tierRank orders tiers by escalation level.
-func tierRank(s string) int {
-	switch s {
-	case "selective":
-		return 0
-	case "full-grid":
-		return 1
-	case "checkpoint":
-		return 2
-	}
-	return -1
+// tierRank orders lp's tiers by escalation level; any other tier ranks
+// -1.
+func tierRank(t core.RecoveryTier) int {
+	return slices.Index([]core.RecoveryTier{core.TierSelective, core.TierFullGrid, core.TierCheckpoint}, t)
 }
 
 // MinimizeCase shrinks a failing case to the smallest reproducing

@@ -68,7 +68,7 @@ func (m *lpModel) Recover() (Report, error) {
 		MaxRounds:  m.maxRounds,
 		Checkpoint: m.ck,
 	})
-	return Report{Damaged: rep.FirstFailed, Rounds: rep.Rounds, Tier: rep.Tier.String(), Cycles: rep.TotalCycles()}, err
+	return Report{Damaged: rep.FirstFailed, Rounds: rep.Rounds, Tier: string(rep.Tier), Cycles: rep.TotalCycles()}, err
 }
 
 // RecoverShard runs core.RecoverBlocks over the shard: validate, re-execute

@@ -259,7 +259,7 @@ func TestLPPredictionLeavesRecoveryCost(t *testing.T) {
 				t.Fatalf("direct recovery failed: %v", err)
 			}
 			if predicted.Cycles != direct.TotalCycles() || predicted.Rounds != direct.Rounds ||
-				predicted.Tier != direct.Tier.String() || !equalIntSlices(predicted.Damaged, direct.FirstFailed) {
+				predicted.Tier != string(direct.Tier) || !equalIntSlices(predicted.Damaged, direct.FirstFailed) {
 				t.Fatalf("lp model recovery: %s; direct RecoverHardened: %v", summary(predicted), direct)
 			}
 		})
