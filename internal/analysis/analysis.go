@@ -85,6 +85,7 @@ var ContractPackages = map[string]bool{
 	"gpulp/internal/gpusim":       true,
 	"gpulp/internal/memsim":       true,
 	"gpulp/internal/core":         true,
+	"gpulp/internal/kernels":      true,
 	"gpulp/internal/cluster":      true,
 	"gpulp/internal/faultsim":     true,
 	"gpulp/internal/persistcheck": true,

@@ -126,7 +126,6 @@ func (r *Runner) Fusion() (*Table, error) {
 		kernel := w.Kernel(lp)
 		dev.Launch("tmm", grid, blk, kernel)
 		mem.Crash()
-		failed, _, _ := lp.Validate(w.Recompute())
 		rep, err := lp.ValidateAndRecover(kernel, w.Recompute(), 5)
 		if err != nil {
 			return nil, fmt.Errorf("fusion=%d: %w", f, err)
@@ -134,7 +133,7 @@ func (r *Runner) Fusion() (*Table, error) {
 		if err := w.Verify(); err != nil {
 			return nil, fmt.Errorf("fusion=%d: %w", f, err)
 		}
-		t.AddRow(fmt.Sprint(f), pct(o), fmt.Sprint(m.tableBytes), fmt.Sprint(len(failed)), fmt.Sprint(rep.RecoverCycles))
+		t.AddRow(fmt.Sprint(f), pct(o), fmt.Sprint(m.tableBytes), fmt.Sprint(rep.FailedPerRound[0]), fmt.Sprint(rep.RecoverCycles))
 	}
 	t.Notes = append(t.Notes,
 		"fusion shrinks the checksum table by ~the factor but re-executes whole groups per damaged region, and its atomic merging costs more than plain stores")
@@ -184,7 +183,6 @@ func (r *Runner) Checkpoint() (*Table, error) {
 		}
 
 		mem.Crash()
-		failed, _, _ := lp.Validate(w.Recompute())
 		rep, err := lp.ValidateAndRecover(kernel, w.Recompute(), 5)
 		if err != nil {
 			return nil, fmt.Errorf("interval=%d: %w", interval, err)
@@ -197,7 +195,7 @@ func (r *Runner) Checkpoint() (*Table, error) {
 			label = "none"
 		}
 		t.AddRow(label, fmt.Sprint(checkpoints), fmt.Sprint(flushed),
-			fmt.Sprint(len(failed)), fmt.Sprint(rep.TotalCycles()))
+			fmt.Sprint(rep.FailedPerRound[0]), fmt.Sprint(rep.TotalCycles()))
 	}
 	t.Notes = append(t.Notes,
 		"the crash hits at kernel end; only stores after the last checkpoint (or never evicted) are lost",
@@ -309,7 +307,6 @@ func (r *Runner) RecoveryCost() (*Table, error) {
 		full := dev.Launch("tmm", grid, blk, kernel)
 
 		mem.Crash()
-		failed, _, _ := lp.Validate(w.Recompute())
 		rep, err := lp.ValidateAndRecover(kernel, w.Recompute(), 5)
 		if err != nil {
 			return nil, fmt.Errorf("cache %dKB: %w", cacheKB, err)
@@ -318,7 +315,7 @@ func (r *Runner) RecoveryCost() (*Table, error) {
 			return nil, fmt.Errorf("cache %dKB: %w", cacheKB, err)
 		}
 		ratio := float64(rep.TotalCycles()) / float64(full.Cycles)
-		t.AddRow(fmt.Sprintf("%d KB", cacheKB), fmt.Sprint(len(failed)),
+		t.AddRow(fmt.Sprintf("%d KB", cacheKB), fmt.Sprint(rep.FailedPerRound[0]),
 			fmt.Sprint(rep.ValidateCycles), fmt.Sprint(rep.RecoverCycles),
 			fmt.Sprint(full.Cycles), fmt.Sprintf("%.2fx", ratio))
 	}

@@ -181,12 +181,20 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Runner executes experiments, caching baseline measurements across them.
+// Runner executes experiments, caching measurements across them.
 type Runner struct {
 	Opt Options
 
-	mu       sync.Mutex // guards baseline; experiments may run concurrently
-	baseline map[string]measurement
+	mu    sync.Mutex // guards cache; experiments may run concurrently
+	cache map[measureKey]measurement
+}
+
+// measureKey identifies one measurement: a workload run bare (lp false)
+// or under one LP configuration, with the Runner's seed applied.
+type measureKey struct {
+	name string
+	lp   bool
+	cfg  core.Config
 }
 
 // NewRunner creates a Runner with the given options.
@@ -194,7 +202,7 @@ func NewRunner(opt Options) *Runner {
 	if opt.Scale < 1 {
 		opt.Scale = 1
 	}
-	return &Runner{Opt: opt, baseline: map[string]measurement{}}
+	return &Runner{Opt: opt, cache: map[measureKey]measurement{}}
 }
 
 // workers returns the configured fan-out width (>= 1).
@@ -230,10 +238,7 @@ func (r *Runner) RunAll(w io.Writer, render func(*Table, io.Writer)) error {
 // measurement captures one workload run.
 type measurement struct {
 	cycles     int64
-	launch     gpusim.LaunchResult
 	collisions int64
-	raceRedos  int64
-	rehashes   int64
 	tableBytes int64
 	persist    int64
 	nvmWrites  int64 // NVM line writes incl. a final drain flush
@@ -241,17 +246,21 @@ type measurement struct {
 }
 
 // measure runs the named workload once, with lpCfg (nil = baseline), and
-// returns the measurement. Baselines are cached per workload; the
-// simulator is deterministic, so when two concurrent experiments race to
-// fill the same cache entry they store the same value.
+// returns the measurement. Every measurement is cached by workload and
+// configuration. Two concurrent experiments may both miss on the same
+// key and run it twice; the simulator is deterministic, so they store
+// the same value.
 func (r *Runner) measure(name string, lpCfg *core.Config) (measurement, error) {
-	if lpCfg == nil {
-		r.mu.Lock()
-		m, ok := r.baseline[name]
-		r.mu.Unlock()
-		if ok {
-			return m, nil
-		}
+	key := measureKey{name: name}
+	if lpCfg != nil {
+		key.lp, key.cfg = true, *lpCfg
+		key.cfg.Seed = r.Opt.Seed
+	}
+	r.mu.Lock()
+	m, ok := r.cache[key]
+	r.mu.Unlock()
+	if ok {
+		return m, nil
 	}
 	mem := memsim.MustNew(r.Opt.Mem)
 	dev := gpusim.MustNew(r.Opt.Dev, mem)
@@ -260,14 +269,12 @@ func (r *Runner) measure(name string, lpCfg *core.Config) (measurement, error) {
 	grid, blk := w.Geometry()
 
 	var lp *core.LP
-	if lpCfg != nil {
-		cfg := *lpCfg
-		cfg.Seed = r.Opt.Seed
-		lp = core.New(dev, cfg, grid, blk)
+	if key.lp {
+		lp = core.New(dev, key.cfg, grid, blk)
 	}
 	mem.ResetStats() // exclude setup traffic
 	res := dev.Launch(w.Name(), grid, blk, w.Kernel(lp))
-	m := measurement{cycles: res.Cycles, launch: res, blocks: grid.Size(), persist: w.PersistBytes()}
+	m = measurement{cycles: res.Cycles, blocks: grid.Size(), persist: w.PersistBytes()}
 	if f, ok := w.(kernels.Finalizer); ok {
 		fname, fg, fb, k := f.FinalizeKernel()
 		fres := dev.Launch(fname, fg, fb, k)
@@ -281,17 +288,12 @@ func (r *Runner) measure(name string, lpCfg *core.Config) (measurement, error) {
 	mem.FlushAll() // drain dirty data so write counts cover the full run
 	m.nvmWrites = mem.Stats().NVMLineWrites
 	if lp != nil {
-		st := lp.Store().Stats()
-		m.collisions = st.Collisions
-		m.raceRedos = st.RaceRedos
-		m.rehashes = st.Rehashes
+		m.collisions = lp.Store().Stats().Collisions
 		m.tableBytes = lp.TableBytes()
 	}
-	if lpCfg == nil {
-		r.mu.Lock()
-		r.baseline[name] = m
-		r.mu.Unlock()
-	}
+	r.mu.Lock()
+	r.cache[key] = m
+	r.mu.Unlock()
 	return m, nil
 }
 

@@ -73,19 +73,30 @@ func TestFormatting(t *testing.T) {
 
 func TestBaselineCaching(t *testing.T) {
 	r := smallRunner()
-	m1, err := r.measure("histo", nil)
-	if err != nil {
+	lpCfg := core.DefaultConfig()
+	fused := lpCfg
+	fused.Fusion = 2
+	for _, cfg := range []*core.Config{nil, &lpCfg, &fused} {
+		m1, err := r.measure("histo", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := r.measure("histo", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m1 != m2 {
+			t.Errorf("cache returned a different measurement: %+v vs %+v", m1, m2)
+		}
+	}
+	// The seed the caller passes is the Runner's, so it is not a new key.
+	reseeded := lpCfg
+	reseeded.Seed = r.Opt.Seed + 1
+	if _, err := r.measure("histo", &reseeded); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := r.measure("histo", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.cycles != m2.cycles {
-		t.Errorf("baseline cache returned different measurement: %d vs %d", m1.cycles, m2.cycles)
-	}
-	if len(r.baseline) != 1 {
-		t.Errorf("cache holds %d entries, want 1", len(r.baseline))
+	if len(r.cache) != 3 {
+		t.Errorf("cache holds %d entries, want 3 (bare, LP, fused LP)", len(r.cache))
 	}
 }
 

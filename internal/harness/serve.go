@@ -81,9 +81,9 @@ func (r *Runner) Serve() (*Table, error) {
 			admitted += c.Admitted
 			dropped += c.Dropped
 			goodput += c.GoodputPerMCycle
-			p50 = maxI64Harness(p50, c.P50)
-			p95 = maxI64Harness(p95, c.P95)
-			p99 = maxI64Harness(p99, c.P99)
+			p50 = max(p50, c.P50)
+			p95 = max(p95, c.P95)
+			p99 = max(p99, c.P99)
 		}
 		overhead := "—"
 		if j.model != "none" {
@@ -123,12 +123,4 @@ func (r *Runner) serveRun(model string, rateScale float64, policy string) (*serv
 		return nil, err
 	}
 	return res.Report, nil
-}
-
-// maxI64Harness returns the larger of two int64s (math.Max is floats).
-func maxI64Harness(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

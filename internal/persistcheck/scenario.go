@@ -10,9 +10,7 @@ import (
 	"fmt"
 
 	"gpulp/internal/faultsim"
-	"gpulp/internal/gpusim"
 	"gpulp/internal/hashtab"
-	"gpulp/internal/kernels"
 	"gpulp/internal/memsim"
 )
 
@@ -84,16 +82,14 @@ type Checker struct {
 	// Opt fixes the platform (memory hierarchy, device, LP defaults).
 	Opt faultsim.Options
 
-	goldens   map[string]*faultsim.Golden
-	epEntries map[string]int
+	goldens map[string]*faultsim.Golden
 }
 
 // NewChecker builds a checker on the default campaign platform.
 func NewChecker() *Checker {
 	return &Checker{
-		Opt:       faultsim.DefaultOptions(),
-		goldens:   map[string]*faultsim.Golden{},
-		epEntries: map[string]int{},
+		Opt:     faultsim.DefaultOptions(),
+		goldens: map[string]*faultsim.Golden{},
 	}
 }
 
@@ -110,39 +106,6 @@ func (c *Checker) golden(kernel string) (*faultsim.Golden, error) {
 	return g, nil
 }
 
-// logEntriesFor sizes the EP redo log for kernel: a fault-free dry run
-// on a scratch system counts the protected stores of every block; the
-// maximum (plus slack for re-execution) is the per-block capacity.
-func (c *Checker) logEntriesFor(kernel string) (int, error) {
-	if n, ok := c.epEntries[kernel]; ok {
-		return n, nil
-	}
-	mem := memsim.MustNew(c.Opt.Mem)
-	dev := gpusim.MustNew(c.Opt.Dev, mem)
-	w := kernels.New(kernel, c.Opt.Scale)
-	w.Setup(dev)
-	grid, blk := w.Geometry()
-	counts := make([]int, grid.Size())
-	outs := w.Outputs()
-	dev.SetStoreHook(func(t *gpusim.Thread, r memsim.Region, elemIdx int, bits uint32) {
-		for _, o := range outs {
-			if o.Base == r.Base {
-				counts[t.Block().LinearIdx]++
-				return
-			}
-		}
-	})
-	dev.Launch(kernel, grid, blk, w.Kernel(nil))
-	max := 1
-	for _, n := range counts {
-		if n > max {
-			max = n
-		}
-	}
-	c.epEntries[kernel] = max + 1
-	return max + 1, nil
-}
-
 // RunKernel executes one kernel scenario and returns the first
 // persistency-contract violation (nil when the scenario passes; an
 // honestly-reported typed recovery error is a pass).
@@ -156,8 +119,8 @@ func (c *Checker) RunKernel(sc KernelScenario) error {
 // recovery, the model's predicted damage (read from the oracle image)
 // against what its recovery repairs, and the recovered outputs against
 // the golden image. The checker adds the oracle, the leading epochs, the
-// backend's store organization and, for ep, a redo log sized by a dry
-// run. gaveUp carries the text of a typed recovery error, the honest
+// backend's store organization and, for ep, a redo log sized by the
+// golden run. gaveUp carries the text of a typed recovery error, the honest
 // outcome for damage beyond repair; err is every other failure.
 func (c *Checker) runKernel(sc KernelScenario) (gaveUp string, err error) {
 	model := modelOf(sc.Backend)
@@ -172,9 +135,9 @@ func (c *Checker) runKernel(sc KernelScenario) (gaveUp string, err error) {
 			return "", err
 		}
 	case sc.Backend == BackendEP:
-		if epEntries, err = c.logEntriesFor(sc.Kernel); err != nil {
-			return "", err
-		}
+		// The busiest block's stores, plus one entry of slack for
+		// re-execution.
+		epEntries = golden.MaxBlockStores() + 1
 	}
 	cs := faultsim.Case{Kernel: sc.Kernel, Kind: sc.Fault, Seed: sc.Seed, Model: model,
 		AfterBlocks: sc.AfterBlocks, Flips: sc.Flips}

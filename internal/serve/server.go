@@ -328,12 +328,12 @@ func runFleet(cfg ClusterConfig) (*ClusterRunResult, error) {
 		// When would the current queue launch?
 		tLaunch := int64(math.MaxInt64)
 		if bat.Len() >= cfg.MaxBatch {
-			tLaunch = maxI64(now, fleetFree())
+			tLaunch = max(now, fleetFree())
 		} else if bat.Len() > 0 {
-			tLaunch = maxI64(bat.OldestAdmit()+cfg.MaxWaitCycles, fleetFree())
+			tLaunch = max(bat.OldestAdmit()+cfg.MaxWaitCycles, fleetFree())
 			if !arrOK {
 				// No arrival can precede the deadline: drain immediately.
-				tLaunch = maxI64(now, fleetFree())
+				tLaunch = max(now, fleetFree())
 			}
 		}
 
@@ -341,7 +341,7 @@ func runFleet(cfg ClusterConfig) (*ClusterRunResult, error) {
 		// first (ties launch: the batch the request raced is full or
 		// due, so the request waits for the next one).
 		if arrOK && (tLaunch == int64(math.MaxInt64) || arr.Arrival < tLaunch) {
-			now = maxI64(now, arr.Arrival)
+			now = max(now, arr.Arrival)
 			st := &stats[arr.Class]
 			st.offered++
 			switch {
@@ -486,11 +486,4 @@ func runFleet(cfg ClusterConfig) (*ClusterRunResult, error) {
 
 	rep.fillClasses(cfg.Config, stats)
 	return &ClusterRunResult{Report: rep, fleet: f}, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
