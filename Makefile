@@ -40,10 +40,13 @@ matrix:
 	GOMAXPROCS=4 $(GO) test -short -count=1 -run 'TestParallelDeterminism' .
 
 # smoke: a quick seeded fault-injection sweep (every kernel × fault kind,
-# 8 seeds each). Exits non-zero on any panic or silent mismatch. Reports
-# are byte-identical at any -parallel.
+# 8 seeds each), then a short one over every persistency model, so the
+# grouped case runner is exercised under ep, sbrp and strict too. Exits
+# non-zero on any panic or silent mismatch. Reports are byte-identical at
+# any -parallel.
 smoke:
 	$(GO) run ./cmd/lpfault -seeds 8 -parallel 4
+	$(GO) run ./cmd/lpfault -model all -seeds 2 -parallel 4
 
 # campaign: the full 204-case robustness campaign from EXPERIMENTS.md.
 campaign:
@@ -142,11 +145,13 @@ bench-smoke:
 
 # bench-micro: the per-layer microbenchmarks of the functional pass's hot
 # path, with allocation counts: a memsim load hit (one word, a walk over
-# one line, two lines of one set), the sparse epoch drain, one gpusim
-# ForAll phase (empty body and one load per thread), and one warm launch
-# of a single 128-thread LP block (core LaunchSmall, the shape of a
-# lightly loaded serving batch).
-MICRO_BENCH = $(GO) test -run '^$$' -bench '^Benchmark(CachedLoad|LoadHitSameLine|LoadHitSetConflict|FlushAllSparse|ForAll|LaunchSmall)$$' -benchmem
+# one line, two lines of one set), the sparse epoch drain, a memsim
+# Rewind (256 KiB cache, 64 dirty lines, 256 durable lines changed since
+# the mark: one crash-campaign case's restore), one gpusim ForAll phase
+# (empty body and one load per thread), and one warm launch of a single
+# 128-thread LP block (core LaunchSmall, the shape of a lightly loaded
+# serving batch).
+MICRO_BENCH = $(GO) test -run '^$$' -bench '^Benchmark(CachedLoad|LoadHitSameLine|LoadHitSetConflict|FlushAllSparse|Rewind|ForAll|LaunchSmall)$$' -benchmem
 MICRO_PKGS = ./internal/memsim/ ./internal/gpusim/ ./internal/core/
 
 bench-micro:

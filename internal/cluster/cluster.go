@@ -567,7 +567,6 @@ func (c *Cluster) runJob(j int, nd *node) {
 		nd.dev.CrashAfter(plan.AfterBlocks)
 	}
 	res := nd.dev.LaunchSelected(fmt.Sprintf("job-%d", j), c.grid, c.blk, nd.model.Kernel(), c.jobBlocks(j))
-	nd.dev.CrashAfter(0)
 	nd.busy += res.Cycles
 	nd.jobs++
 	end := start + res.Cycles

@@ -14,6 +14,7 @@ package faultsim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -364,28 +365,35 @@ func splitmix(x uint64) uint64 {
 // case is reproducible from its position alone.
 func seedAt(base, pos uint64) uint64 { return splitmix(base ^ splitmix(pos)) }
 
-// Strike lands one fault of the given kind on a freshly set-up system and
-// is the only place a Kind strikes. MidKernelCrash arms gpusim's
-// CrashAfter at afterBlocks block completions and launches kernel,
-// leaving the grid partial; a crash point past the grid is an error, as
-// the launch would run fault-free. Every other kind launches kernel to
-// completion and then crashes the hierarchy (CleanCrash), writes a random
-// subset of dirty lines back before the crash (PartialEviction), also
-// tears some of those write-backs (TornWriteback), or crashes and flips
-// bits: in the bytes the kernel wrote according to golden (DataBitFlips),
-// or in one of the persistency model's metadata regions, which tables
-// lists and is called only for this kind (StoreBitFlips). A zero
-// afterBlocks or flips is drawn from rng; the draws happen in a fixed
-// order, so a case replays from its seed. It returns the crash point of a
-// mid-kernel crash and the number of bits flipped.
+// ErrCrashMissed is wrapped by Strike's error when an armed mid-kernel
+// crash did not fire: the launch ended fault-free, or the watchdog
+// stopped it first.
+var ErrCrashMissed = errors.New("armed crash did not fire")
+
+// Strike lands one fault of the given kind and is the only place a Kind
+// strikes. MidKernelCrash strikes a freshly bound system: it arms
+// gpusim's CrashAfter at afterBlocks block completions and launches
+// kernel, leaving the grid partial. A crash point past the grid is an
+// error, as the launch would run fault-free, and so is a launch that
+// ends without the crash firing (ErrCrashMissed). Every other kind
+// strikes a system whose kernel launch has run to completion (the
+// caller launches it) and crashes the hierarchy (CleanCrash), writes a
+// random subset of dirty lines back before the crash (PartialEviction),
+// also tears some of those write-backs (TornWriteback), or crashes and
+// flips bits: in the bytes the kernel wrote according to golden
+// (DataBitFlips), or in one of the persistency model's metadata regions,
+// which tables lists and is called only for this kind (StoreBitFlips).
+// A zero afterBlocks or flips is drawn from rng; the draws happen in a
+// fixed order, so a case replays from its seed. It returns the crash
+// point of a mid-kernel crash and the number of bits flipped.
 func Strike(dev *gpusim.Device, rng *rand.Rand, kind Kind, afterBlocks, flips int,
 	w kernels.Workload, kernel gpusim.KernelFunc, golden *Golden, tables func() []memsim.Region) (crashedAfter, injected int, err error) {
 	if kind < 0 || kind >= numKinds {
 		return 0, 0, fmt.Errorf("faultsim: unknown fault kind %v", kind)
 	}
 	mem := dev.Mem()
-	grid, blk := w.Geometry()
 	if kind == MidKernelCrash {
+		grid, blk := w.Geometry()
 		if afterBlocks <= 0 {
 			afterBlocks = 1 + rng.Intn(grid.Size())
 		}
@@ -393,10 +401,11 @@ func Strike(dev *gpusim.Device, rng *rand.Rand, kind Kind, afterBlocks, flips in
 			return 0, 0, fmt.Errorf("faultsim: mid-kernel crash after %d blocks lies past the %d-block grid of %s", afterBlocks, grid.Size(), w.Name())
 		}
 		dev.CrashAfter(afterBlocks)
-		dev.Launch(w.Name(), grid, blk, kernel)
+		if res := dev.Launch(w.Name(), grid, blk, kernel); !res.Interrupted || res.Watchdog != nil {
+			return 0, 0, fmt.Errorf("faultsim: mid-kernel crash after %d blocks of %s ended with %d blocks retired: %w", afterBlocks, w.Name(), res.Blocks, ErrCrashMissed)
+		}
 		return afterBlocks, 0, nil
 	}
-	dev.Launch(w.Name(), grid, blk, kernel)
 	switch kind {
 	case CleanCrash:
 		mem.Crash()
@@ -434,16 +443,16 @@ func Strike(dev *gpusim.Device, rng *rand.Rand, kind Kind, afterBlocks, flips in
 	return 0, 0, nil
 }
 
-// RunCase executes one fault-injection case end to end: bind the case's
-// persistency model (lp for an empty Model) through the pmodel registry
-// after workload setup, with the post-setup durable state as lp's
-// checkpoint, strike the fault at its seeded point, hold the model to its
-// whole contract — PredictDamage, read from the raw durable image in
-// place, must equal what Recover repairs — and compare the recovered
-// outputs against golden. A case that cannot run (an unknown model, a
-// kind ModelApplicable excludes, a crash point Strike refuses) is a
-// TypedError. It never panics: a runtime panic is converted into the
-// Panicked outcome.
+// RunCase executes one fault-injection case end to end on a fresh
+// system: bind the case's persistency model (lp for an empty Model)
+// through the pmodel registry after workload setup, with the post-setup
+// durable state as lp's checkpoint, strike the fault at its seeded
+// point, hold the model to its whole contract — PredictDamage, read from
+// the raw durable image in place, must equal what Recover repairs — and
+// compare the recovered outputs, in place, against golden. A case that
+// cannot run (an unknown model, a kind ModelApplicable excludes, a crash
+// point Strike refuses) is a TypedError. It never panics: a runtime
+// panic is converted into the Panicked outcome.
 func RunCase(opt Options, c Case, golden *Golden) Result {
 	res, err := RunAudited(opt, c, golden, 0, 0, nil)
 	if err != nil {
@@ -467,15 +476,74 @@ type Audit interface {
 // which the fault strikes; epEntries sizes ep's redo log (0: the model's
 // default); and audit, when non-nil, is attached to the case's memory
 // before anything is allocated on it, after which PredictDamage reads
-// its Image instead of the memory's own durable image. The error is
-// non-nil only for a case that cannot run; everything else is in the
-// Result.
+// its Image instead of the memory's own durable image. The case is a
+// group of one (see group): the same case body as a campaign's, on its
+// own system, which is never marked or rewound. The error is non-nil
+// only for a case that cannot run; everything else is in the Result.
 func RunAudited(opt Options, c Case, golden *Golden, epochs, epEntries int, audit func(*memsim.Memory) Audit) (res Result, err error) {
+	g := &group{opt: opt, golden: golden, epochs: epochs, epEntries: epEntries, audit: audit}
+	g.run([]Case{c}, func(_ int, r Result, e error) { res, err = r, e })
+	return res, err
+}
+
+// group runs cases that share one kernel and one persistency model on
+// one simulated system, in two phases: the mid-kernel cases strike the
+// set-up, bound state, and every other case strikes the state after one
+// full launch of the bound kernel. Both states are seed-independent, so
+// each is built once and the memory rewinds to it (memsim's Mark and
+// Rewind) before each further case; every Result equals the one the
+// case gets on a fresh system. A group of one never marks, so
+// RunAudited's path is that of a fresh system, unchanged.
+type group struct {
+	opt       Options
+	golden    *Golden
+	epochs    int
+	epEntries int
+	audit     func(*memsim.Memory) Audit
+
+	// The system, built for the first case (mem is nil until then, and
+	// again after a panic): a workload set up on a fresh hierarchy, with
+	// the persistency model bound and lp's checkpoint taken.
+	mem    *memsim.Memory
+	dev    *gpusim.Device
+	w      kernels.Workload
+	m      pmodel.Model
+	kernel gpusim.KernelFunc
+	// image is what PredictDamage reads; a, when non-nil, checks it.
+	image func() []byte
+	a     Audit
+	// launched reports that the state the memory rewinds to follows the
+	// bound kernel's full launch.
+	launched bool
+}
+
+// run executes cases, mid-kernel cases first and each phase in the
+// given order, and passes emit each case's position in cases, its
+// Result, and the error of a case that cannot run, as it completes.
+func (g *group) run(cases []Case, emit func(i int, res Result, err error)) {
+	order := make([]int, 0, len(cases))
+	for _, mid := range []bool{true, false} {
+		for i, c := range cases {
+			if (c.Kind == MidKernelCrash) == mid {
+				order = append(order, i)
+			}
+		}
+	}
+	for n, i := range order {
+		res, err := g.runCase(cases[i], len(order)-n)
+		emit(i, res, err)
+	}
+}
+
+// runCase is the case body. left counts the group's cases from this one
+// on.
+func (g *group) runCase(c Case, left int) (res Result, err error) {
 	res.Case = c
 	defer func() {
 		if r := recover(); r != nil {
 			res.Outcome = Panicked
 			res.Err = fmt.Sprintf("panic: %v", r)
+			g.mem = nil // the next case builds a system of its own
 		}
 	}()
 	spec, ok := lookupModel(c.Model)
@@ -487,33 +555,12 @@ func RunAudited(opt Options, c Case, golden *Golden, epochs, epEntries int, audi
 	}
 
 	rng := rand.New(rand.NewSource(int64(splitmix(c.Seed))))
-	mem := memsim.MustNew(opt.Mem)
-	image := mem.NVMImage
-	var a Audit
-	if audit != nil {
-		a = audit(mem)
-		image = a.Image
-	}
-	dev := gpusim.MustNew(opt.Dev, mem)
-	w := kernels.New(c.Kernel, opt.Scale)
-	w.Setup(dev)
-	lpCfg := opt.LP
-	m := spec.New(dev, w, pmodel.Options{LP: &lpCfg, MaxRounds: opt.MaxRounds, Checkpoint: true, EPEntries: epEntries})
-	kernel := m.Kernel()
-	if epochs > 1 {
-		grid, blk := w.Geometry()
-		for ep := 0; ep+1 < epochs; ep++ {
-			m.BeginEpoch(uint64(ep))
-			dev.Launch(c.Kernel, grid, blk, kernel)
-			mem.FlushAll()
-		}
-		m.BeginEpoch(uint64(epochs - 1))
-	}
-	if res.CrashedAfter, res.Injected, err = Strike(dev, rng, c.Kind, c.AfterBlocks, c.Flips, w, kernel, golden, m.MetadataRegions); err != nil {
+	g.ready(spec, c, left)
+	if res.CrashedAfter, res.Injected, err = Strike(g.dev, rng, c.Kind, c.AfterBlocks, c.Flips, g.w, g.kernel, g.golden, g.m.MetadataRegions); err != nil {
 		return res, err
 	}
-	if a != nil {
-		if err := a.Check(); err != nil {
+	if g.a != nil {
+		if err := g.a.Check(); err != nil {
 			return mismatch(res, "post-crash: "+err.Error()), nil
 		}
 	}
@@ -521,8 +568,8 @@ func RunAudited(opt Options, c Case, golden *Golden, epochs, epEntries int, audi
 	// The durable-state contract: the damage the model predicts from the
 	// raw durable image alone must be exactly what its recovery repairs,
 	// also when recovery then gives up.
-	predicted := m.PredictDamage(image())
-	rep, err := m.Recover()
+	predicted := g.m.PredictDamage(g.image())
+	rep, err := g.m.Recover()
 	res.Tier, res.Rounds, res.FirstRoundFailed, res.Cycles = core.RecoveryTier(rep.Tier), rep.Rounds, len(rep.Damaged), rep.Cycles
 	switch {
 	case !slices.Equal(predicted, rep.Damaged):
@@ -533,23 +580,76 @@ func RunAudited(opt Options, c Case, golden *Golden, epochs, epEntries int, audi
 		return mismatch(res, err.Error()), nil
 	}
 
-	if f, ok := w.(kernels.Finalizer); ok {
+	if f, ok := g.w.(kernels.Finalizer); ok {
 		name, fg, fb, k := f.FinalizeKernel()
-		dev.Launch(name, fg, fb, k)
+		g.dev.Launch(name, fg, fb, k)
 	}
-	mem.FlushAll()
-	for i, r := range w.Outputs() {
-		if !bytes.Equal(mem.PeekNVM(r.Base, r.Size), golden.outputs[i]) {
+	g.mem.FlushAll()
+	img := g.mem.NVMImage()
+	for i, r := range g.w.Outputs() {
+		if !bytes.Equal(img[r.Base:r.Base+uint64(r.Size)], g.golden.outputs[i]) {
 			return mismatch(res, fmt.Sprintf("durable image of %s diverges from fault-free golden under model %s", r.Name, spec.Name)), nil
 		}
 	}
-	if a != nil {
-		if err := a.Check(); err != nil {
+	if g.a != nil {
+		if err := g.a.Check(); err != nil {
 			return mismatch(res, "post-recovery: "+err.Error()), nil
 		}
 	}
 	res.Outcome = Recovered
 	return res, nil
+}
+
+// ready brings the system to the state c strikes: set up and bound for a
+// mid-kernel crash, with the bound kernel also launched to completion
+// for every other kind. It builds the system for the first case (and
+// after a panic), and otherwise rewinds it to its mark; it marks
+// whenever more cases than c are left to run on it.
+func (g *group) ready(spec pmodel.Spec, c Case, left int) {
+	if g.mem == nil {
+		g.build(spec, c.Kernel)
+		if left > 1 {
+			g.mem.Mark()
+		}
+	} else {
+		g.mem.Rewind()
+	}
+	if c.Kind != MidKernelCrash && !g.launched {
+		grid, blk := g.w.Geometry()
+		g.dev.Launch(c.Kernel, grid, blk, g.kernel)
+		g.launched = true
+		if left > 1 {
+			g.mem.Mark()
+		}
+	}
+}
+
+// build sets kernel up on a fresh hierarchy and binds the model with
+// lp's checkpoint, after the audit (if any) is attached and before the
+// leading epochs (if any) run.
+func (g *group) build(spec pmodel.Spec, kernel string) {
+	mem := memsim.MustNew(g.opt.Mem)
+	g.image, g.a, g.launched = mem.NVMImage, nil, false
+	if g.audit != nil {
+		g.a = g.audit(mem)
+		g.image = g.a.Image
+	}
+	g.dev = gpusim.MustNew(g.opt.Dev, mem)
+	g.w = kernels.New(kernel, g.opt.Scale)
+	g.w.Setup(g.dev)
+	lpCfg := g.opt.LP
+	g.m = spec.New(g.dev, g.w, pmodel.Options{LP: &lpCfg, MaxRounds: g.opt.MaxRounds, Checkpoint: true, EPEntries: g.epEntries})
+	g.kernel = g.m.Kernel()
+	if g.epochs > 1 {
+		grid, blk := g.w.Geometry()
+		for ep := 0; ep+1 < g.epochs; ep++ {
+			g.m.BeginEpoch(uint64(ep))
+			g.dev.Launch(kernel, grid, blk, g.kernel)
+			mem.FlushAll()
+		}
+		g.m.BeginEpoch(uint64(g.epochs - 1))
+	}
+	g.mem = mem
 }
 
 // lookupModel resolves a case's model name the way the CLIs do: empty

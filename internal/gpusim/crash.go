@@ -9,9 +9,11 @@ package gpusim
 // failure shape crashes between launch boundaries can never produce.
 // Apart from the watchdog, it is the only way a launch stops mid-grid.
 //
-// The crash is one-shot: it disarms when it fires, so the recovery
-// launches that follow run to completion, while a launch that retires
-// fewer than n blocks leaves it armed for the next one. n <= 0 disarms
+// An arm covers exactly one launch, the next one: that launch disarms it
+// when it ends, whether the crash fired or not, so the recovery launches
+// that follow run to completion and an arm the launch never reached (n
+// past the blocks it retires) cannot strike a later one. The crash fired
+// when the launch returns Interrupted with no Watchdog. n <= 0 disarms
 // it. Armed from inside a heartbeat, it applies to the launch in flight:
 // heartbeats run just before the check, so CrashAfter(1) there crashes
 // at that very block boundary.

@@ -83,3 +83,19 @@ func TestCrashAfterFromHeartbeat(t *testing.T) {
 		t.Fatalf("crash leaked into the next launch: %+v", res)
 	}
 }
+
+// TestCrashAfterUnreachedDisarms: an arm covers one launch. A crash point
+// past the grid never fires, and the launch that did not reach it still
+// disarms it, so the next launch runs clean too, and so does a later
+// launch whose grid the leaked arm would have reached.
+func TestCrashAfterUnreachedDisarms(t *testing.T) {
+	d := testDevice()
+	out := d.Alloc("out", 2048*4)
+	d.CrashAfter(9)
+	for i, blocks := range []int{8, 8, 16} {
+		res := d.Launch("work", D1(blocks), D1(128), fillKernel(out))
+		if res.Interrupted || res.Blocks != blocks {
+			t.Fatalf("launch %d after an unreached arm: %+v, want all %d blocks uninterrupted", i, res, blocks)
+		}
+	}
+}

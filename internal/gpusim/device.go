@@ -203,7 +203,10 @@ func (d *Device) launch(name string, grid, block Dim3, kernel KernelFunc, select
 		panic(fmt.Sprintf("gpusim: launch %q started from inside launch %q on the same device", name, d.launchName))
 	}
 	d.inLaunch = true
-	defer func() { d.inLaunch = false }()
+	defer func() {
+		// An arm covers one launch: fired or not, it ends here.
+		d.inLaunch, d.crashAfter = false, 0
+	}()
 	d.launchName = name
 	threadsPerBlock := block.Size()
 	perSM := d.cfg.MaxBlocksPerSM

@@ -209,18 +209,22 @@ func (w *megakvWork) Verify() error {
 	return nil
 }
 
-// PersistBytes is the index for a batch that changes it (bucket count
-// is nOps rounded to a power of two, as NewStore sizes it), else the
-// results array.
+// PersistBytes is the size of every region Outputs protects: the results
+// array if the batch searches, and the index if it changes it (bucket
+// count is nOps rounded to a power of two, as NewStore sizes it).
 func (w *megakvWork) PersistBytes() int64 {
-	if !w.has(insertFresh, deleteHit) {
-		return int64(w.nOps) * 8
+	var n int64
+	if w.has(searchHit, searchMiss) {
+		n += int64(w.nOps) * 8
 	}
-	buckets := 1
-	for buckets < w.nOps {
-		buckets <<= 1
+	if w.has(insertFresh, deleteHit) {
+		buckets := 1
+		for buckets < w.nOps {
+			buckets <<= 1
+		}
+		n += int64(buckets) * megakv.SlotsPerBucket * 16
 	}
-	return int64(buckets) * megakv.SlotsPerBucket * 16
+	return n
 }
 
 // Outputs implements Workload: the results array if the batch searches,

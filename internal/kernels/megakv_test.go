@@ -61,7 +61,7 @@ var megakvPins = []megakvPin{
 		lp:       "{Name:megakv-mixed Cycles:38009 Blocks:128 WarpInstrs:32508 L2Bytes:3652864 NVMBytes:1721472 AtomicStallCycles:4512726 LockStallCycles:0 MaxConcurrency:128 Interrupted:false Watchdog:<nil>}",
 		stats:    "{Loads:[85224 0 8192 0] Stores:[20480 256 8192 0] Hits:108895 Misses:13449 NVMLineReads:13449 NVMLineWrites:0 NVMWritesByRegion:map[] FlushedLines:0}",
 		image:    "011e51d530ef0c69565e68a604dfa3218a63084f5650cabc2c5764148a996209",
-		persist:  2097152,
+		persist:  2228224,
 		outputs:  2,
 		recovery: "{Rounds:2 FailedPerRound:[33 0] FirstFailed:[74 92 95 97 98 99 101 102 103 104 105 106 107 108 109 110 111 112 113 114 115 116 117 118 119 120 121 122 123 124 125 126 127] ValidateCycles:2592 RecoverCycles:6980 BackoffCycles:0 Tier:selective}",
 	},

@@ -87,3 +87,32 @@ func BenchmarkFlushAllSparse(b *testing.B) {
 		m.FlushAll()
 	}
 }
+
+// BenchmarkRewind measures one Rewind of a 256 KiB cache with 64 dirty
+// lines and 256 durable lines changed since the mark: the per-case
+// restore of a crash campaign group.
+func BenchmarkRewind(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 256 << 10
+	m := MustNew(cfg)
+	words := cfg.LineSize / 4
+	r := m.Alloc("data", 1<<20)
+	for i := 0; i < r.Size/4; i += words {
+		r.StoreU32(AccessData, i, 1)
+	}
+	m.FlushAll()
+	m.Mark()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < 256; j++ {
+			r.StoreU32(AccessData, j*words, uint32(i))
+		}
+		m.FlushAll()
+		for j := 0; j < 64; j++ {
+			r.StoreU32(AccessData, j*words, uint32(i)+1)
+		}
+		b.StartTimer()
+		m.Rewind()
+	}
+}

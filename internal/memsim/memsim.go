@@ -15,7 +15,8 @@
 // thread blocks one at a time, and determinism is a feature (experiments
 // are reproducible bit-for-bit). Use one Memory per simulated device.
 // Every change to the durable array goes through mutateNVM, the one point
-// the persist observer and the media model hook into.
+// the persist observer, the media model and the rewind undo log (see
+// rewind.go) hook into.
 package memsim
 
 import (
@@ -195,6 +196,9 @@ type Memory struct {
 	// scratch is the staging buffer the Region host writers encode into
 	// (HostWrite copies out of its argument and never retains it).
 	scratch []byte
+	// mark is the rewind point and its undo log (see rewind.go); nil until
+	// Mark.
+	mark *rewindMark
 }
 
 // New creates a Memory with the given configuration. A bad configuration
@@ -364,8 +368,12 @@ func (m *Memory) growNVM(end int) {
 // mutateNVM overwrites the durable array at addr with buf. It is the one
 // place the durable image changes (growth only appends zeros): the
 // persistbarrier analyzer rejects any other write to m.nvm, so every
-// mutation stays next to the persist event its caller emits.
+// mutation stays next to the persist event its caller emits. Under a
+// rewind mark it first logs the lines it is about to change.
 func (m *Memory) mutateNVM(addr uint64, buf []byte) {
+	if m.mark != nil {
+		m.mark.logLines(m.nvm, addr, buf, m.lineShift)
+	}
 	copy(m.nvm[addr:], buf)
 }
 
