@@ -143,7 +143,7 @@ func register(fs *flag.FlagSet) *cliFlags {
 	fs.BoolVar(&f.json, "json", false, "emit the report as JSON instead of a table")
 	fs.BoolVar(&f.minimize, "minimize", true, "shrink failing cases to their smallest reproduction")
 	fs.BoolVar(&f.progress, "progress", false, "print each case as it completes")
-	fs.IntVar(&f.parallel, "parallel", 1, "host goroutines running campaign cases concurrently (the report is bit-identical at any value)")
+	fs.IntVar(&f.parallel, "parallel", 1, "host goroutines running campaign jobs concurrently: a job is one (kernel, model) group of the default campaign, or one case of any other (the report is bit-identical at any value)")
 	fs.StringVar(&f.model, "model", "", "persistency models to campaign over: comma-separated from "+strings.Join(pmodel.Names(), ",")+
 		", or \"all\" (default: lp only; -serve: all; -replicas: lp,sbrp)")
 	fs.StringVar(&f.repro, "repro", "", "re-run a single case from its reported JSON instead of a campaign")
