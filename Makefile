@@ -147,11 +147,13 @@ bench-smoke:
 # path, with allocation counts: a memsim load hit (one word, a walk over
 # one line, two lines of one set), the sparse epoch drain, a memsim
 # Rewind (256 KiB cache, 64 dirty lines, 256 durable lines changed since
-# the mark: one crash-campaign case's restore), one gpusim ForAll phase
+# the mark: one crash-campaign case's restore) and a return to a crash
+# point (CrashTo, the same traffic since the point: one mid-kernel
+# case's restore), one gpusim ForAll phase
 # (empty body and one load per thread), and one warm launch of a single
 # 128-thread LP block (core LaunchSmall, the shape of a lightly loaded
 # serving batch).
-MICRO_BENCH = $(GO) test -run '^$$' -bench '^Benchmark(CachedLoad|LoadHitSameLine|LoadHitSetConflict|FlushAllSparse|Rewind|ForAll|LaunchSmall)$$' -benchmem
+MICRO_BENCH = $(GO) test -run '^$$' -bench '^Benchmark(CachedLoad|LoadHitSameLine|LoadHitSetConflict|FlushAllSparse|Rewind|CrashPoint|ForAll|LaunchSmall)$$' -benchmem
 MICRO_PKGS = ./internal/memsim/ ./internal/gpusim/ ./internal/core/
 
 bench-micro:

@@ -81,10 +81,11 @@ type Campaign struct {
 	Minimize bool
 	// Progress, when non-nil, observes each completed case, one call at
 	// a time, as it completes. At Parallel 1 it sees the cases group by
-	// group (see Run): each (kernel, model) group's mid-kernel cases,
-	// then its others, each part in sweep order. Wider, groups run
-	// concurrently, so the observation order is nondeterministic; the
-	// Report is not.
+	// group (see Run): each (kernel, model) group's cases that strike
+	// the launched state, in sweep order, then its mid-kernel cases from
+	// the latest crash point to the earliest, ties in sweep order. Wider,
+	// groups run concurrently, so the observation order is
+	// nondeterministic; the Report is not.
 	Progress func(done, total int, r Result)
 	// Parallel is the number of host goroutines running (kernel, model)
 	// groups concurrently. Every case is seeded from its sweep position
@@ -149,13 +150,15 @@ func (r *Report) Failed() bool { return r.Mismatches > 0 || r.Panics > 0 }
 // Run executes the campaign. Golden images are computed once per kernel.
 // The cases of one (kernel, model) pair form a group that runs on one
 // simulated system: the workload is set up and the model bound once,
-// the mid-kernel cases strike that state, the bound kernel is launched
-// once, and every other case strikes the launched state, with the
-// memory rewound (memsim's Mark and Rewind) before each case. Each case
-// reports exactly what it would on a fresh system (RunCase). A memory
-// with the media fault model enabled cannot rewind, so Run refuses it;
-// under the cuckoo checksum store, whose host-side hash state a rewind
-// would not restore, every case runs on a fresh system.
+// and the bound kernel is launched once, with a memsim crash point at
+// each mid-kernel case's block boundary. Every other case strikes the
+// launched state, the memory rewound to it (memsim's Mark and Rewind)
+// between cases, and each mid-kernel case then strikes its crash point,
+// the memory returned to it (memsim's CrashTo). Each case reports
+// exactly what it would on a fresh system (RunCase). A memory with the
+// media fault model enabled cannot rewind, so Run refuses it; under the
+// cuckoo checksum store, whose host-side hash state a rewind would not
+// restore, every case runs on a fresh system.
 func (c *Campaign) Run() (*Report, error) {
 	opt := c.Opt
 	if opt.Scale < 1 {

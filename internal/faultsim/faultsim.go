@@ -365,48 +365,134 @@ func splitmix(x uint64) uint64 {
 // case is reproducible from its position alone.
 func seedAt(base, pos uint64) uint64 { return splitmix(base ^ splitmix(pos)) }
 
-// ErrCrashMissed is wrapped by Strike's error when an armed mid-kernel
-// crash did not fire: the launch ended fault-free, or the watchdog
-// stopped it first.
+// ErrCrashMissed is wrapped by Strike's error when a mid-kernel crash
+// point lies past the blocks its launch retired: the watchdog stopped
+// the launch first.
 var ErrCrashMissed = errors.New("armed crash did not fire")
 
+// Flight is the one launch of a bound kernel that mid-kernel crashes
+// strike: LaunchFlight runs it, and Strike lands each crash on it.
+type Flight struct {
+	mem  *memsim.Memory
+	name string
+	grid int
+	// retired counts the blocks the launch retired.
+	retired int
+	// at lists the crash points within the grid, ascending and distinct;
+	// cps holds the memsim crash point taken at each one the launch
+	// reached, when it kept them.
+	at  []int
+	cps []memsim.CrashPoint
+	// crashed is the crash point the launch crashed at in flight, while
+	// the memory still holds that crash and nothing was kept (0: none).
+	crashed int
+}
+
+// LaunchFlight launches kernel over w's grid once on dev, with one crash
+// point for each mid-kernel strike to come: points lists each strike's
+// crash point in blocks retired (repeats allowed; one past the grid is
+// left for Strike to refuse). full runs the launch to the grid's end,
+// for a group that also strikes the launched state; otherwise the
+// launch crashes in flight at the last crash point (gpusim's
+// CrashAfter), and with no crash point in the grid it does not launch.
+// When more than one strike will come from the launch, a heartbeat takes
+// a memsim crash point at each crash point's block boundary for Strike
+// to return to. A single strike lands on the in-flight crash itself, so
+// its launch is a fresh system's partial launch and nothing is logged.
+func LaunchFlight(dev *gpusim.Device, w kernels.Workload, kernel gpusim.KernelFunc, points []int, full bool) *Flight {
+	grid, blk := w.Geometry()
+	f := &Flight{mem: dev.Mem(), name: w.Name(), grid: grid.Size()}
+	for _, p := range points {
+		if p <= f.grid {
+			f.at = append(f.at, p)
+		}
+	}
+	keep := full || len(f.at) > 1
+	slices.Sort(f.at)
+	f.at = slices.Compact(f.at)
+	if !full && len(f.at) == 0 {
+		return f
+	}
+	if keep && len(f.at) > 0 {
+		prev := dev.SetHeartbeat(func(hb gpusim.Heartbeat) {
+			if n := len(f.cps); n < len(f.at) && hb.Blocks == f.at[n] {
+				f.cps = append(f.cps, f.mem.CrashPoint())
+			}
+		})
+		defer dev.SetHeartbeat(prev)
+	}
+	if !full {
+		dev.CrashAfter(f.at[len(f.at)-1])
+	}
+	res := dev.Launch(f.name, grid, blk, kernel)
+	f.retired = res.Blocks
+	if !keep && res.Interrupted && res.Watchdog == nil {
+		f.crashed = f.at[0]
+	}
+	return f
+}
+
+// land brings the memory to the crash at after blocks, which the launch
+// reached: back to its memsim crash point, or, when the launch kept
+// none, to the in-flight crash it still holds.
+func (f *Flight) land(after int) {
+	if i, ok := slices.BinarySearch(f.at, after); ok && i < len(f.cps) {
+		f.mem.CrashTo(f.cps[i])
+		return
+	}
+	if after < 1 || after != f.crashed {
+		panic(fmt.Sprintf("faultsim: the flight of %s kept no crash point after %d blocks", f.name, after))
+	}
+	f.crashed = 0
+}
+
+// crashPointOf returns a mid-kernel case's crash point in a grid of size
+// blocks: its pinned AfterBlocks, or else the first draw of its rng.
+func crashPointOf(c Case, size int) int {
+	if c.AfterBlocks > 0 {
+		return c.AfterBlocks
+	}
+	return 1 + caseRNG(c).Intn(size)
+}
+
+// caseRNG returns the generator every draw of case c comes from.
+func caseRNG(c Case) *rand.Rand { return rand.New(rand.NewSource(int64(splitmix(c.Seed)))) }
+
 // Strike lands one fault of the given kind and is the only place a Kind
-// strikes. MidKernelCrash strikes a freshly bound system: it arms
-// gpusim's CrashAfter at afterBlocks block completions and launches
-// kernel, leaving the grid partial. A crash point past the grid is an
-// error, as the launch would run fault-free, and so is a launch that
-// ends without the crash firing (ErrCrashMissed). Every other kind
-// strikes a system whose kernel launch has run to completion (the
-// caller launches it) and crashes the hierarchy (CleanCrash), writes a
-// random subset of dirty lines back before the crash (PartialEviction),
-// also tears some of those write-backs (TornWriteback), or crashes and
-// flips bits: in the bytes the kernel wrote according to golden
-// (DataBitFlips), or in one of the persistency model's metadata regions,
-// which tables lists and is called only for this kind (StoreBitFlips).
-// A zero afterBlocks or flips is drawn from rng; the draws happen in a
-// fixed order, so a case replays from its seed. It returns the crash
-// point of a mid-kernel crash and the number of bits flipped.
+// strikes. MidKernelCrash lands the crash after afterBlocks block
+// completions of flight, the bound kernel's launch (LaunchFlight),
+// leaving the grid partial: the durable image at that block boundary,
+// with every cache line dropped. A crash point past the grid is an
+// error, as the launch would run fault-free, and so is one past the
+// blocks the launch retired (ErrCrashMissed). The crash points of one
+// flight are struck from the latest to the earliest. Every other kind
+// strikes a system whose kernel launch has run to completion and
+// crashes the hierarchy (CleanCrash), writes a random subset of dirty
+// lines back before the crash (PartialEviction), also tears some of
+// those write-backs (TornWriteback), or crashes and flips bits: in the
+// bytes the kernel wrote according to golden (DataBitFlips), or in one
+// of the persistency model's metadata regions, which tables lists and
+// is called only for this kind (StoreBitFlips). A zero flips is drawn
+// from rng; the draws happen in a fixed order, so a case replays from
+// its seed (a mid-kernel crash point is its case's one draw, made before
+// the launch: crashPointOf). It returns the crash point of a mid-kernel
+// crash and the number of bits flipped.
 func Strike(dev *gpusim.Device, rng *rand.Rand, kind Kind, afterBlocks, flips int,
-	w kernels.Workload, kernel gpusim.KernelFunc, golden *Golden, tables func() []memsim.Region) (crashedAfter, injected int, err error) {
+	w kernels.Workload, flight *Flight, golden *Golden, tables func() []memsim.Region) (crashedAfter, injected int, err error) {
 	if kind < 0 || kind >= numKinds {
 		return 0, 0, fmt.Errorf("faultsim: unknown fault kind %v", kind)
 	}
 	mem := dev.Mem()
-	if kind == MidKernelCrash {
-		grid, blk := w.Geometry()
-		if afterBlocks <= 0 {
-			afterBlocks = 1 + rng.Intn(grid.Size())
-		}
-		if afterBlocks > grid.Size() {
-			return 0, 0, fmt.Errorf("faultsim: mid-kernel crash after %d blocks lies past the %d-block grid of %s", afterBlocks, grid.Size(), w.Name())
-		}
-		dev.CrashAfter(afterBlocks)
-		if res := dev.Launch(w.Name(), grid, blk, kernel); !res.Interrupted || res.Watchdog != nil {
-			return 0, 0, fmt.Errorf("faultsim: mid-kernel crash after %d blocks of %s ended with %d blocks retired: %w", afterBlocks, w.Name(), res.Blocks, ErrCrashMissed)
-		}
-		return afterBlocks, 0, nil
-	}
 	switch kind {
+	case MidKernelCrash:
+		switch {
+		case afterBlocks > flight.grid:
+			return 0, 0, fmt.Errorf("faultsim: mid-kernel crash after %d blocks lies past the %d-block grid of %s", afterBlocks, flight.grid, flight.name)
+		case afterBlocks > flight.retired:
+			return 0, 0, fmt.Errorf("faultsim: mid-kernel crash after %d blocks of %s ended with %d blocks retired: %w", afterBlocks, flight.name, flight.retired, ErrCrashMissed)
+		}
+		flight.land(afterBlocks)
+		return afterBlocks, 0, nil
 	case CleanCrash:
 		mem.Crash()
 	case PartialEviction:
@@ -478,8 +564,10 @@ type Audit interface {
 // before anything is allocated on it, after which PredictDamage reads
 // its Image instead of the memory's own durable image. The case is a
 // group of one (see group): the same case body as a campaign's, on its
-// own system, which is never marked or rewound. The error is non-nil
-// only for a case that cannot run; everything else is in the Result.
+// own system, which launches the bound kernel once, partially for a
+// mid-kernel crash, and never marks or takes a crash point. The error is
+// non-nil only for a case that cannot run; everything else is in the
+// Result.
 func RunAudited(opt Options, c Case, golden *Golden, epochs, epEntries int, audit func(*memsim.Memory) Audit) (res Result, err error) {
 	g := &group{opt: opt, golden: golden, epochs: epochs, epEntries: epEntries, audit: audit}
 	g.run([]Case{c}, func(_ int, r Result, e error) { res, err = r, e })
@@ -487,13 +575,17 @@ func RunAudited(opt Options, c Case, golden *Golden, epochs, epEntries int, audi
 }
 
 // group runs cases that share one kernel and one persistency model on
-// one simulated system, in two phases: the mid-kernel cases strike the
-// set-up, bound state, and every other case strikes the state after one
-// full launch of the bound kernel. Both states are seed-independent, so
-// each is built once and the memory rewinds to it (memsim's Mark and
-// Rewind) before each further case; every Result equals the one the
-// case gets on a fresh system. A group of one never marks, so
-// RunAudited's path is that of a fresh system, unchanged.
+// one simulated system, set up and bound once, whose bound kernel
+// launches once (a Flight). Every mid-kernel case's crash point is drawn
+// before the launch. The launch runs to the grid's end when some case
+// strikes the launched state, and those cases strike it first, the
+// memory rewound to it (memsim's Mark and Rewind) before each but the
+// first; otherwise the launch crashes in flight at the last crash point.
+// The mid-kernel cases then strike from the latest crash point to the
+// earliest, each returning the memory to its crash point (memsim's
+// CrashTo). Every Result equals the one the case gets on a fresh system.
+// A group of one never marks or takes a crash point, so RunAudited's
+// path is that of a fresh system: one partial or full launch.
 type group struct {
 	opt       Options
 	golden    *Golden
@@ -501,62 +593,121 @@ type group struct {
 	epEntries int
 	audit     func(*memsim.Memory) Audit
 
-	// The system, built for the first case (mem is nil until then, and
-	// again after a panic): a workload set up on a fresh hierarchy, with
-	// the persistency model bound and lp's checkpoint taken.
+	// The system, built once: a workload set up on a fresh hierarchy,
+	// with the persistency model bound, lp's checkpoint taken, and the
+	// bound kernel launched (flight).
 	mem    *memsim.Memory
 	dev    *gpusim.Device
 	w      kernels.Workload
 	m      pmodel.Model
 	kernel gpusim.KernelFunc
+	flight *Flight
 	// image is what PredictDamage reads; a, when non-nil, checks it.
 	image func() []byte
 	a     Audit
-	// launched reports that the state the memory rewinds to follows the
-	// bound kernel's full launch.
-	launched bool
+	// marked reports that the memory holds a mark of the launched state.
+	marked bool
 }
 
-// run executes cases, mid-kernel cases first and each phase in the
-// given order, and passes emit each case's position in cases, its
-// Result, and the error of a case that cannot run, as it completes.
+// run executes cases and passes emit each case's position in cases, its
+// Result, and the error of a case that cannot run, as it completes: the
+// cases with an unknown model or an inapplicable kind first, then the
+// others in group order (see group), ties in the given order. After a
+// panic, the cases left run each as a group of one, on a system of its
+// own.
 func (g *group) run(cases []Case, emit func(i int, res Result, err error)) {
-	order := make([]int, 0, len(cases))
-	for _, mid := range []bool{true, false} {
-		for i, c := range cases {
-			if (c.Kind == MidKernelCrash) == mid {
-				order = append(order, i)
-			}
+	var spec pmodel.Spec
+	var launched, mid []int
+	for i, c := range cases {
+		s, err := caseModel(c)
+		switch {
+		case err != nil:
+			emit(i, Result{Case: c}, err)
+		case c.Kind == MidKernelCrash:
+			spec, mid = s, append(mid, i)
+		default:
+			spec, launched = s, append(launched, i)
 		}
 	}
+	order := append(launched, mid...)
+	if len(order) == 0 {
+		return
+	}
+	after := make([]int, len(cases))
+	if msg := g.launch(spec, cases, order, len(launched), after); msg != "" {
+		if len(order) == 1 {
+			emit(order[0], Result{Case: cases[order[0]], Outcome: Panicked, Err: msg}, nil)
+			return
+		}
+		g.alone(cases, order, emit)
+		return
+	}
+	slices.SortStableFunc(order[len(launched):], func(a, b int) int { return after[b] - after[a] })
 	for n, i := range order {
-		res, err := g.runCase(cases[i], len(order)-n)
+		res, err := g.runCase(cases[i], spec, after[i], n < len(launched) && len(launched) > 1)
 		emit(i, res, err)
+		if res.Outcome == Panicked {
+			g.alone(cases, order[n+1:], emit)
+			return
+		}
 	}
 }
 
-// runCase is the case body. left counts the group's cases from this one
-// on.
-func (g *group) runCase(c Case, left int) (res Result, err error) {
+// alone runs each of the listed cases as a group of one.
+func (g *group) alone(cases []Case, idx []int, emit func(i int, res Result, err error)) {
+	for _, i := range idx {
+		one := &group{opt: g.opt, golden: g.golden, epochs: g.epochs, epEntries: g.epEntries, audit: g.audit}
+		one.run(cases[i:i+1], func(_ int, res Result, err error) { emit(i, res, err) })
+	}
+}
+
+// launch builds the system for cases unless it is built, draws each
+// mid-kernel case's crash point into after, and launches the flight.
+// order lists the runnable cases, the first nLaunched of them striking
+// the launched state. It returns the text of a panic, or "".
+func (g *group) launch(spec pmodel.Spec, cases []Case, order []int, nLaunched int, after []int) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprintf("panic: %v", r)
+		}
+	}()
+	if g.mem == nil {
+		g.build(spec, cases[order[0]].Kernel)
+	}
+	grid, _ := g.w.Geometry()
+	points := make([]int, 0, len(order)-nLaunched)
+	for _, i := range order[nLaunched:] {
+		after[i] = crashPointOf(cases[i], grid.Size())
+		points = append(points, after[i])
+	}
+	g.flight = LaunchFlight(g.dev, g.w, g.kernel, points, nLaunched > 0)
+	return ""
+}
+
+// runCase is the case body: after is a mid-kernel case's crash point,
+// and share reports that other cases strike the launched state too, so
+// the first to strike it marks it and the others rewind to it.
+func (g *group) runCase(c Case, spec pmodel.Spec, after int, share bool) (res Result, err error) {
 	res.Case = c
 	defer func() {
 		if r := recover(); r != nil {
 			res.Outcome = Panicked
 			res.Err = fmt.Sprintf("panic: %v", r)
-			g.mem = nil // the next case builds a system of its own
 		}
 	}()
-	spec, ok := lookupModel(c.Model)
-	switch {
-	case !ok:
-		return res, fmt.Errorf("faultsim: unknown persistency model %q", c.Model)
-	case !ModelApplicable(spec.Name, c.Kernel, c.Kind):
-		return res, fmt.Errorf("faultsim: fault kind %v is not applicable to model %s on %s", c.Kind, spec.Name, c.Kernel)
-	}
 
-	rng := rand.New(rand.NewSource(int64(splitmix(c.Seed))))
-	g.ready(spec, c, left)
-	if res.CrashedAfter, res.Injected, err = Strike(g.dev, rng, c.Kind, c.AfterBlocks, c.Flips, g.w, g.kernel, g.golden, g.m.MetadataRegions); err != nil {
+	var rng *rand.Rand
+	if c.Kind != MidKernelCrash {
+		rng = caseRNG(c)
+		switch {
+		case g.marked:
+			g.mem.Rewind()
+		case share:
+			g.mem.Mark()
+			g.marked = true
+		}
+	}
+	if res.CrashedAfter, res.Injected, err = Strike(g.dev, rng, c.Kind, after, c.Flips, g.w, g.flight, g.golden, g.m.MetadataRegions); err != nil {
 		return res, err
 	}
 	if g.a != nil {
@@ -600,28 +751,17 @@ func (g *group) runCase(c Case, left int) (res Result, err error) {
 	return res, nil
 }
 
-// ready brings the system to the state c strikes: set up and bound for a
-// mid-kernel crash, with the bound kernel also launched to completion
-// for every other kind. It builds the system for the first case (and
-// after a panic), and otherwise rewinds it to its mark; it marks
-// whenever more cases than c are left to run on it.
-func (g *group) ready(spec pmodel.Spec, c Case, left int) {
-	if g.mem == nil {
-		g.build(spec, c.Kernel)
-		if left > 1 {
-			g.mem.Mark()
-		}
-	} else {
-		g.mem.Rewind()
+// caseModel resolves c's persistency model and checks that c's kind
+// applies to it on c's kernel.
+func caseModel(c Case) (pmodel.Spec, error) {
+	spec, ok := lookupModel(c.Model)
+	switch {
+	case !ok:
+		return spec, fmt.Errorf("faultsim: unknown persistency model %q", c.Model)
+	case !ModelApplicable(spec.Name, c.Kernel, c.Kind):
+		return spec, fmt.Errorf("faultsim: fault kind %v is not applicable to model %s on %s", c.Kind, spec.Name, c.Kernel)
 	}
-	if c.Kind != MidKernelCrash && !g.launched {
-		grid, blk := g.w.Geometry()
-		g.dev.Launch(c.Kernel, grid, blk, g.kernel)
-		g.launched = true
-		if left > 1 {
-			g.mem.Mark()
-		}
-	}
+	return spec, nil
 }
 
 // build sets kernel up on a fresh hierarchy and binds the model with
@@ -629,7 +769,7 @@ func (g *group) ready(spec pmodel.Spec, c Case, left int) {
 // leading epochs (if any) run.
 func (g *group) build(spec pmodel.Spec, kernel string) {
 	mem := memsim.MustNew(g.opt.Mem)
-	g.image, g.a, g.launched = mem.NVMImage, nil, false
+	g.image, g.a = mem.NVMImage, nil
 	if g.audit != nil {
 		g.a = g.audit(mem)
 		g.image = g.a.Image

@@ -116,3 +116,32 @@ func BenchmarkRewind(b *testing.B) {
 		m.Rewind()
 	}
 }
+
+// BenchmarkCrashPoint measures one CrashTo on a 256 KiB cache with 64
+// dirty lines to drop and 256 durable lines changed since the crash
+// point: the per-case return of a crash campaign's mid-kernel case.
+func BenchmarkCrashPoint(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 256 << 10
+	m := MustNew(cfg)
+	words := cfg.LineSize / 4
+	r := m.Alloc("data", 1<<20)
+	for i := 0; i < r.Size/4; i += words {
+		r.StoreU32(AccessData, i, 1)
+	}
+	m.FlushAll()
+	p := m.CrashPoint()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < 256; j++ {
+			r.StoreU32(AccessData, j*words, uint32(i)+2)
+		}
+		m.FlushAll()
+		for j := 0; j < 64; j++ {
+			r.StoreU32(AccessData, j*words, uint32(i)+3)
+		}
+		b.StartTimer()
+		m.CrashTo(p)
+	}
+}

@@ -196,9 +196,11 @@ type Memory struct {
 	// scratch is the staging buffer the Region host writers encode into
 	// (HostWrite copies out of its argument and never retains it).
 	scratch []byte
-	// mark is the rewind point and its undo log (see rewind.go); nil until
-	// Mark.
+	// mark is the rewind point, nil until Mark, and undo the undo log it
+	// shares with the crash points, nil until the first Mark or
+	// CrashPoint (see rewind.go).
 	mark *rewindMark
+	undo *undoLog
 }
 
 // New creates a Memory with the given configuration. A bad configuration
@@ -368,11 +370,12 @@ func (m *Memory) growNVM(end int) {
 // mutateNVM overwrites the durable array at addr with buf. It is the one
 // place the durable image changes (growth only appends zeros): the
 // persistbarrier analyzer rejects any other write to m.nvm, so every
-// mutation stays next to the persist event its caller emits. Under a
-// rewind mark it first logs the lines it is about to change.
+// mutation stays next to the persist event its caller emits. While the
+// undo log runs (after a Mark or a CrashPoint) it first logs the lines
+// it is about to change.
 func (m *Memory) mutateNVM(addr uint64, buf []byte) {
-	if m.mark != nil {
-		m.mark.logLines(m.nvm, addr, buf, m.lineShift)
+	if m.undo != nil {
+		m.undo.logLines(m.nvm, addr, buf, m.lineShift)
 	}
 	copy(m.nvm[addr:], buf)
 }
@@ -443,13 +446,18 @@ func (m *Memory) Store(kind AccessKind, addr uint64, buf []byte) AccessResult {
 // lines that were never written back — is discarded. The durable contents
 // afterwards are exactly the NVM image.
 func (m *Memory) Crash() {
+	m.dropCache()
+	m.notify(PersistEvent{Kind: EvCrash})
+}
+
+// dropCache discards every cached line, dirty or not.
+func (m *Memory) dropCache() {
 	m.forEachDirty(m.markClean)
 	for i := range m.sets {
 		for j := range m.sets[i].ways {
 			m.sets[i].ways[j].valid = false
 		}
 	}
-	m.notify(PersistEvent{Kind: EvCrash})
 }
 
 // FlushAddr writes the line containing addr back to NVM if it is cached

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"gpulp/internal/core"
@@ -230,5 +232,24 @@ func TestClusterDeterministicReport(t *testing.T) {
 		if !bytes.Equal(ao[i], bo[i]) {
 			t.Fatalf("durable output region %d not deterministic", i)
 		}
+	}
+}
+
+// TestClusterFailureNeverReachedIsTyped: RunCluster's FailAtLaunch past
+// the run's last launch is a config error naming both counts, not a
+// failure-free run.
+func TestClusterFailureNeverReachedIsTyped(t *testing.T) {
+	cfg := quickClusterConfig()
+	probe := mustRunCluster(t, cfg)
+	cfg.FailAtLaunch = probe.Report.Launches + 1
+	cfg.FailDevice = 1
+	_, err := RunCluster(cfg)
+	want := fmt.Sprintf("launch %d never struck: the run made %d launches", cfg.FailAtLaunch, probe.Report.Launches)
+	if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RunCluster = %v, want ErrConfig naming %q", err, want)
+	}
+	cfg.FailAtLaunch = probe.Report.Launches
+	if r := mustRunCluster(t, cfg); len(r.Report.DeadDevices) != 1 {
+		t.Fatalf("failure at the last launch: dead devices %v, want one", r.Report.DeadDevices)
 	}
 }

@@ -238,3 +238,21 @@ func TestRunCrashPointOutsideGrid(t *testing.T) {
 		t.Fatalf("crash after the grid's last block: %v, want one recovery (%v)", err, r)
 	}
 }
+
+// TestRunCrashNeverReachedIsTyped: a crash armed for a launch the run
+// never makes is a config error naming both the launch asked for and
+// the launches made, not a crash-free run.
+func TestRunCrashNeverReachedIsTyped(t *testing.T) {
+	cfg := quickConfig()
+	probe := mustRun(t, cfg)
+	cfg.CrashAtLaunch = probe.Report.Launches + 1
+	_, err := Run(cfg)
+	want := fmt.Sprintf("launch %d never struck: the run made %d launches", cfg.CrashAtLaunch, probe.Report.Launches)
+	if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run = %v, want ErrConfig naming %q", err, want)
+	}
+	cfg.CrashAtLaunch = probe.Report.Launches
+	if r := mustRun(t, cfg); r.Report.Recoveries != 1 {
+		t.Fatalf("crash at the last launch: %d recoveries, want 1", r.Report.Recoveries)
+	}
+}

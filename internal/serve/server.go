@@ -279,7 +279,8 @@ func Run(cfg Config) (*RunResult, error) {
 
 // runFleet is the serving loop over a validated fleet configuration.
 // Every batch launches on every alive device, and the batch completes
-// when the slowest of them has drained it.
+// when the slowest of them has drained it. A run that ends before its
+// FailAtLaunch launch is an ErrConfig error naming both counts.
 func runFleet(cfg ClusterConfig) (*ClusterRunResult, error) {
 	nodes := make([]*node, cfg.Devices)
 	for i := range nodes {
@@ -482,6 +483,11 @@ func runFleet(cfg ClusterConfig) (*ClusterRunResult, error) {
 	}
 	if rep.EndCycle < now {
 		rep.EndCycle = now
+	}
+	if cfg.FailAtLaunch > rep.Launches {
+		// The launch the fault was armed for never came: the run served
+		// fault-free, which is not the run that was asked for.
+		return nil, fmt.Errorf("%w: the fault asked for at launch %d never struck: the run made %d launches", ErrConfig, cfg.FailAtLaunch, rep.Launches)
 	}
 
 	rep.fillClasses(cfg.Config, stats)
